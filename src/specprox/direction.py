@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .errors import InvalidConfigError
 from .tensor import ParamVec, axpy
@@ -11,24 +10,18 @@ from .tensor import ParamVec, axpy
 
 @dataclass(frozen=True)
 class DirectionState:
-    """Current direction estimate d^k plus the estimator bookkeeping.
-
-    ``x_prev`` is only tracked by the recursive (two-evaluation) estimator,
-    which needs the previous iterate to difference gradients on a shared
-    sample.
-    """
+    """Current direction estimate d^k plus the estimator bookkeeping."""
 
     d: ParamVec
     kind: str  # "plain" | "polyak" | "storm"
     k: int = 0
-    x_prev: Optional[ParamVec] = None
 
 
-def initial_state(kind: str, grad_sample: ParamVec, x0: Optional[ParamVec] = None) -> DirectionState:
+def initial_state(kind: str, grad_sample: ParamVec) -> DirectionState:
     """d^0 is the first stochastic gradient sample."""
     if kind not in ("plain", "polyak", "storm"):
         raise InvalidConfigError(f"unknown direction kind {kind!r}")
-    return DirectionState(d=grad_sample, kind=kind, k=0, x_prev=x0 if kind == "storm" else None)
+    return DirectionState(d=grad_sample, kind=kind, k=0)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -50,18 +43,17 @@ def storm_update(
     grad_at_x: ParamVec,
     grad_at_xprev_same_sample: ParamVec,
     alpha_k: float,
-    x: Optional[ParamVec] = None,
 ) -> DirectionState:
     """Recursive momentum with a shared sample at both points.
 
     d_new = (1 - a) d_old + a grad_at_x + (1 - a)(grad_at_x - grad_at_xprev),
-    where both gradients must be evaluated on the same sample.  ``x`` refreshes
-    the stored previous iterate for the next update.
+    where both gradients must be evaluated on the same sample; the caller
+    holds the previous iterate.
     """
     a = _check_alpha(alpha_k)
     correction = grad_at_x - grad_at_xprev_same_sample
     d_new = axpy(a, grad_at_x, (1.0 - a) * (state.d + correction))
-    return replace(state, d=d_new, k=state.k + 1, x_prev=x if x is not None else state.x_prev)
+    return replace(state, d=d_new, k=state.k + 1)
 
 
 def schedule(kind: str, k_or_horizon: int, gamma_bar: float = 1.0) -> tuple[float, float]:

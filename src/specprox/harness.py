@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -272,36 +273,30 @@ def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _one_repetition(cfg: ExperimentConfig, rep: int) -> Trace:
-    problem = build_problem(cfg)
-    spec = build_constraint(cfg)
-    run_cfg = RunConfig(ref=build_reference(cfg), spec=spec, mode=build_mode(cfg),
-                        seed=cfg.seed + rep, x0=feasible_start(spec, problem.shapes))
-    return run(run_cfg, problem, noise=build_noise(cfg))
-
-
 def execute(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all repetitions; results always merge in seed order.
 
-    With ``workers > 1`` repetitions fan out across processes (each rebuilds
-    the identical problem instance from the base seed), so the output is
-    independent of completion order and of the worker count.
+    The problem, constraint, reference, noise model, mode and start point are
+    built once and shared by every repetition; only the seed advances.  With
+    ``workers > 1`` repetitions fan out across processes, which receive those
+    pieces as arguments, so the output is independent of completion order and
+    of the worker count.
     """
     problem = build_problem(cfg)
     spec = build_constraint(cfg)
     spec.validate_for(problem.shapes)
-    build_reference(cfg)
-    build_noise(cfg)
+    ref = build_reference(cfg)
+    noise = build_noise(cfg)
+    base = RunConfig(ref=ref, spec=spec, mode=build_mode(cfg), seed=cfg.seed,
+                     x0=feasible_start(spec, problem.shapes))
+    run_cfgs = [replace(base, seed=cfg.seed + rep) for rep in range(cfg.repetitions)]
     if cfg.workers > 1 and cfg.repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {pool.submit(_one_repetition, cfg, rep): rep
-                       for rep in range(cfg.repetitions)}
-            by_rep = {futures[f]: f.result() for f in futures}
-        traces = [by_rep[rep] for rep in range(cfg.repetitions)]
+            traces = list(pool.map(run, run_cfgs, repeat(problem), repeat(noise)))
     else:
-        traces = [_one_repetition(cfg, rep) for rep in range(cfg.repetitions)]
+        traces = [run(run_cfg, problem, noise) for run_cfg in run_cfgs]
     summaries = [
         RunSummary(
             run_id=rep,

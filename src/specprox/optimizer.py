@@ -5,20 +5,22 @@ One step moves from x to
     y      = x - gamma * precondition(d)
     x_next = argmin_x g(x) + gamma*phi((x - y)/gamma)
 
-with d a (possibly stochastic) direction.  ``run`` drives the loop in four
-modes: deterministic full-gradient, Polyak momentum, recursive two-evaluation
-momentum, and the normalized variant that divides the direction by its norm
-before preconditioning.  Every run is replayable from its seed; stochastic
-diagnostics (gap, gradient norm) are evaluated with the true gradient, which
-is available for all synthetic problems and never enters the update itself.
+with d a (possibly stochastic) direction.  ``run`` drives one loop for all
+four modes, which differ only in parts picked before it starts: the direction
+estimator (true gradient, Polyak momentum, or recursive two-evaluation
+momentum) with its schedule, and the step rule (the prox step above, or the
+normalized step that divides d by its norm before preconditioning).  Every
+run is replayable from its seed.  The diagnostics (gap, gradient norm) use
+the true gradient, which never enters a stochastic update; grad_f(x^{k+1}) is
+evaluated once and serves both the gap of step k and step k+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
-from .direction import initial_state, polyak_update, schedule, storm_update
+from .direction import DirectionState, initial_state, polyak_update, schedule, storm_update
 from .errors import InvalidConfigError, NumericalError
 from .prox import ConstraintSpec, Zero, feasibility_error, prox, recover_subgradient
 from .problems import GradientOracle, NoiseModel
@@ -38,6 +40,7 @@ STEP_BOUND_SLACK = 1e-12
 class Deterministic:
     """Full-gradient mode with a constant stepsize."""
 
+    trace_name: ClassVar[str] = "deterministic"
     gamma: float
     K: int
 
@@ -46,6 +49,7 @@ class Deterministic:
 class StochasticPolyak:
     """Polyak momentum with the horizon-tuned schedule."""
 
+    trace_name: ClassVar[str] = "polyak"
     K: int
     gamma_bar: float = 1.0
 
@@ -54,6 +58,7 @@ class StochasticPolyak:
 class StochasticStorm:
     """Recursive momentum with per-iteration schedule."""
 
+    trace_name: ClassVar[str] = "storm"
     K: int
     gamma_bar: float = 1.0
 
@@ -67,6 +72,7 @@ class PolarExpressMode:
     surrogate; surrogate runs are diagnostics only.
     """
 
+    trace_name: ClassVar[str] = "polar-express"
     K: int
     eps_hat: Optional[float] = None
     gamma_bar: float = 1.0
@@ -202,189 +208,98 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
 
     ``noise`` feeds the stochastic modes (ignored in deterministic mode);
     ``None`` means exact gradients.  With ``record_reg_gap`` the regularized
-    gap is evaluated at every pre-step iterate (deterministic diagnostics).
+    gap is evaluated at every pre-step iterate (deterministic mode only).
     """
-    mode = config.mode
+    mode, ref, spec = config.mode, config.ref, config.spec
     noise = noise if noise is not None else NoiseModel.none()
     x = _validated_x0(config)
+    if not isinstance(mode, (Deterministic, StochasticPolyak, StochasticStorm, PolarExpressMode)):
+        raise InvalidConfigError(f"unknown mode {mode!r}")
+    if mode.K < 0:
+        raise InvalidConfigError("K must be >= 0")
+    K = mode.K
+    deterministic = isinstance(mode, Deterministic)
+    storm = isinstance(mode, StochasticStorm)
 
-    if isinstance(mode, Deterministic):
-        return _run_deterministic(config, problem, x, record_reg_gap, record_iterates)
-    if isinstance(mode, StochasticPolyak):
-        return _run_polyak(config, problem, noise, x, record_iterates)
-    if isinstance(mode, StochasticStorm):
-        return _run_storm(config, problem, noise, x, record_iterates)
+    # Step rule: the prox step, or the normalized step of an unconstrained run.
     if isinstance(mode, PolarExpressMode):
-        return _run_polar(config, problem, noise, x, record_iterates)
-    raise InvalidConfigError(f"unknown mode {mode!r}")
+        if not all(isinstance(tag, Zero) for tag in spec.tags):
+            raise InvalidConfigError("normalized mode needs an unconstrained spec")
+        eps_hat = mode.eps_hat if mode.eps_hat is not None else (K + 1.0) ** -0.25
+        zero_sub = 0.0 * x
 
+        def advance(x, d, gamma):
+            x_next = polar_express_step(x, d, gamma, ref, eps_hat,
+                                        poly_schedule=mode.poly_schedule)
+            if mode.poly_schedule is None:
+                _check_step_bound(x, x_next, gamma, ref)
+            return x_next, zero_sub
+    else:
+        def advance(x, d, gamma):
+            x_next, _, subgrad = step(x, d, gamma, ref, spec)
+            _check_feasible(spec, x_next)
+            return x_next, subgrad
 
-def _maybe_track(record_iterates: bool, xs: list, x: ParamVec) -> None:
-    if record_iterates:
-        xs.append(x)
+    # Schedule (alpha_k, gamma_k): per-iteration for STORM, run-constant otherwise.
+    if storm:
+        def schedule_at(k):
+            return schedule("storm45", k, mode.gamma_bar)
+    else:
+        constant = (1.0, mode.gamma) if deterministic else schedule("polyak43", K, mode.gamma_bar)
 
+        def schedule_at(k):
+            return constant
 
-def _run_deterministic(config: RunConfig, problem, x: ParamVec,
-                       record_reg_gap: bool, record_iterates: bool) -> Trace:
-    mode: Deterministic = config.mode
-    if mode.K < 0:
-        raise InvalidConfigError("K must be >= 0")
-    trace = Trace(mode="deterministic", seed=config.seed)
-    xs: list[ParamVec] = []
-    _maybe_track(record_iterates, xs, x)
-    for k in range(mode.K + 1):
-        d = problem.grad_f(x)
-        f_here = problem.f(x)
-        reg = (
-            regularized_gap(config.spec, config.ref, mode.gamma, x, d)
-            if record_reg_gap else None
-        )
-        x_next, _, subgrad = step(x, d, mode.gamma, config.ref, config.spec)
-        _check_feasible(config.spec, x_next)
-        g_next = problem.grad_f(x_next)
-        trace.records.append(TraceRecord(
-            k=k,
-            F=f_here,
-            gap_bregman=gap_bregman(config.ref, g_next, subgrad),
-            step_norm=norm2(x_next - x),
-            gamma=mode.gamma,
-            alpha=1.0,
-            grad_norm=norm2(d),
-            dir_error=0.0,
-            sample_token=None,
-            reg_gap=reg,
-        ))
-        x = x_next
-        _maybe_track(record_iterates, xs, x)
-    trace.final_x = x
-    if record_iterates:
-        trace.iterates = xs
-    return trace
-
-
-def _run_polyak(config: RunConfig, problem, noise: NoiseModel, x: ParamVec,
-                record_iterates: bool) -> Trace:
-    mode: StochasticPolyak = config.mode
-    if mode.K < 0:
-        raise InvalidConfigError("K must be >= 0")
-    alpha, gamma = schedule("polyak43", mode.K, mode.gamma_bar)
+    # Direction: the true gradient, or a momentum estimate from token-k samples.
+    g = problem.grad_f(x)
     oracle = GradientOracle(problem, noise, config.seed)
-    state = initial_state("polyak", oracle.sample(x, token=0))
-    trace = Trace(mode="polyak", seed=config.seed)
-    xs: list[ParamVec] = []
-    _maybe_track(record_iterates, xs, x)
-    for k in range(mode.K + 1):
-        g_true = problem.grad_f(x)
-        f_here = problem.f(x)
-        x_next, _, subgrad = step(x, state.d, gamma, config.ref, config.spec)
-        _check_feasible(config.spec, x_next)
-        g_next = problem.grad_f(x_next)
-        trace.records.append(TraceRecord(
-            k=k,
-            F=f_here,
-            gap_bregman=gap_bregman(config.ref, g_next, subgrad),
-            step_norm=norm2(x_next - x),
-            gamma=gamma,
-            alpha=alpha,
-            grad_norm=norm2(g_true),
-            dir_error=norm2(state.d - g_true),
-            sample_token=k,
-        ))
-        x = x_next
-        _maybe_track(record_iterates, xs, x)
-        if k < mode.K:
-            state = polyak_update(state, oracle.sample(x, token=k + 1), alpha)
-    trace.final_x = x
-    trace.oracle_calls = oracle.calls
-    if record_iterates:
-        trace.iterates = xs
-    return trace
+    if deterministic:
+        state = initial_state("plain", g)
 
+        def next_direction(state, k, x, x_next, g_next):
+            return DirectionState(d=g_next, kind="plain", k=k + 1)
+    elif storm:
+        state = initial_state("storm", oracle.sample(x, token=0))
 
-def _run_storm(config: RunConfig, problem, noise: NoiseModel, x: ParamVec,
-               record_iterates: bool) -> Trace:
-    mode: StochasticStorm = config.mode
-    if mode.K < 0:
-        raise InvalidConfigError("K must be >= 0")
-    oracle = GradientOracle(problem, noise, config.seed)
-    state = initial_state("storm", oracle.sample(x, token=0), x0=x)
-    trace = Trace(mode="storm", seed=config.seed)
-    xs: list[ParamVec] = []
-    _maybe_track(record_iterates, xs, x)
-    for k in range(mode.K + 1):
-        alpha_k, gamma_k = schedule("storm45", k, mode.gamma_bar)
-        g_true = problem.grad_f(x)
-        f_here = problem.f(x)
-        x_next, _, subgrad = step(x, state.d, gamma_k, config.ref, config.spec)
-        _check_feasible(config.spec, x_next)
-        g_next = problem.grad_f(x_next)
-        trace.records.append(TraceRecord(
-            k=k,
-            F=f_here,
-            gap_bregman=gap_bregman(config.ref, g_next, subgrad),
-            step_norm=norm2(x_next - x),
-            gamma=gamma_k,
-            alpha=alpha_k,
-            grad_norm=norm2(g_true),
-            dir_error=norm2(state.d - g_true),
-            sample_token=k,
-        ))
-        if k < mode.K:
+        def next_direction(state, k, x, x_next, g_next):
             # One fresh sample, evaluated at both the new and the old iterate.
-            alpha_next, _ = schedule("storm45", k + 1, mode.gamma_bar)
+            alpha_next, _ = schedule_at(k + 1)
             g_new = oracle.sample(x_next, token=k + 1)
             g_old = oracle.sample(x, token=k + 1)
-            state = storm_update(state, g_new, g_old, alpha_next, x=x_next)
-        x = x_next
-        _maybe_track(record_iterates, xs, x)
-    trace.final_x = x
-    trace.oracle_calls = oracle.calls
-    if record_iterates:
-        trace.iterates = xs
-    return trace
+            return storm_update(state, g_new, g_old, alpha_next)
+    else:
+        state = initial_state("polyak", oracle.sample(x, token=0))
 
+        def next_direction(state, k, x, x_next, g_next):
+            return polyak_update(state, oracle.sample(x_next, token=k + 1), constant[0])
 
-def _run_polar(config: RunConfig, problem, noise: NoiseModel, x: ParamVec,
-               record_iterates: bool) -> Trace:
-    mode: PolarExpressMode = config.mode
-    if mode.K < 0:
-        raise InvalidConfigError("K must be >= 0")
-    for tag in config.spec.tags:
-        if not isinstance(tag, Zero):
-            raise InvalidConfigError("normalized mode needs an unconstrained spec")
-    eps_hat = mode.eps_hat if mode.eps_hat is not None else (mode.K + 1.0) ** -0.25
-    alpha, gamma = schedule("polyak43", mode.K, mode.gamma_bar)
-    oracle = GradientOracle(problem, noise, config.seed)
-    state = initial_state("polyak", oracle.sample(x, token=0))
-    trace = Trace(mode="polar-express", seed=config.seed)
-    xs: list[ParamVec] = []
-    _maybe_track(record_iterates, xs, x)
-    zero_sub = 0.0 * x
-    for k in range(mode.K + 1):
-        g_true = problem.grad_f(x)
+    trace = Trace(mode=mode.trace_name, seed=config.seed)
+    xs = [x] if record_iterates else None
+    for k in range(K + 1):
+        alpha, gamma = schedule_at(k)
         f_here = problem.f(x)
-        x_next = polar_express_step(x, state.d, gamma, config.ref, eps_hat,
-                                    poly_schedule=mode.poly_schedule)
-        if mode.poly_schedule is None:
-            _check_step_bound(x, x_next, gamma, config.ref)
+        reg = regularized_gap(spec, ref, gamma, x, g) if record_reg_gap and deterministic else None
+        x_next, subgrad = advance(x, state.d, gamma)
+        # grad_f(x^{k+1}) serves this gap and the diagnostics of iteration k+1.
         g_next = problem.grad_f(x_next)
         trace.records.append(TraceRecord(
             k=k,
             F=f_here,
-            gap_bregman=gap_bregman(config.ref, g_next, zero_sub),
+            gap_bregman=gap_bregman(ref, g_next, subgrad),
             step_norm=norm2(x_next - x),
             gamma=gamma,
             alpha=alpha,
-            grad_norm=norm2(g_true),
-            dir_error=norm2(state.d - g_true),
-            sample_token=k,
+            grad_norm=norm2(g),
+            dir_error=0.0 if deterministic else norm2(state.d - g),
+            sample_token=None if deterministic else k,
+            reg_gap=reg,
         ))
-        x = x_next
-        _maybe_track(record_iterates, xs, x)
-        if k < mode.K:
-            state = polyak_update(state, oracle.sample(x, token=k + 1), alpha)
+        if k < K:
+            state = next_direction(state, k, x, x_next, g_next)
+        x, g = x_next, g_next
+        if record_iterates:
+            xs.append(x)
     trace.final_x = x
     trace.oracle_calls = oracle.calls
-    if record_iterates:
-        trace.iterates = xs
+    trace.iterates = xs
     return trace

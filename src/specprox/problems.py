@@ -244,7 +244,4 @@ class GradientOracle:
 def sample_gradient(problem, x: ParamVec, noise: NoiseModel, sample_token: int,
                     seed: int = 0) -> ParamVec:
     """One-shot oracle call; see :class:`GradientOracle`."""
-    g = problem.grad_f(x)
-    if noise.kind == "none":
-        return g
-    return g + noise.draw(_token_rng(seed, sample_token), problem.shapes)
+    return GradientOracle(problem, noise, seed).sample(x, sample_token)

@@ -473,11 +473,6 @@ def feasibility_error(spec: ConstraintSpec, x: ParamVec) -> float:
     )
 
 
-def g_value(spec: ConstraintSpec, x: ParamVec, tol: float = 1e-9) -> float:
-    """Indicator value of the constraint set: 0 within tol, +inf otherwise."""
-    return 0.0 if feasibility_error(spec, x) <= tol else math.inf
-
-
 def feasible_start(spec: ConstraintSpec, shapes) -> ParamVec:
     """A deterministic feasible point to start a run from."""
     shapes = list(shapes)

@@ -381,12 +381,7 @@ def _precondition_block(e: BlockRef, d: np.ndarray) -> np.ndarray:
     sc = e.scalar
     if e.structure is Structure.ANISO:
         return sc.h_star_prime(d)
-    if e.structure is Structure.ISO:
-        nd = math.sqrt(float(np.vdot(d, d)))
-        if nd == 0.0:
-            return np.zeros_like(d)
-        return (sc.h_star_prime(nd) / nd) * d
-    if e.structure is Structure.SPECTRAL_ISO:
+    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
         nd = math.sqrt(float(np.vdot(d, d)))
         if nd == 0.0:
             return np.zeros_like(d)
@@ -419,9 +414,7 @@ def _phi_block(e: BlockRef, x: np.ndarray) -> float:
     sc = e.scalar
     if e.structure is Structure.ANISO:
         return float(np.sum(sc.h(x)))
-    if e.structure is Structure.ISO:
-        return float(sc.h(math.sqrt(float(np.vdot(x, x)))))
-    if e.structure is Structure.SPECTRAL_ISO:
+    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
         return float(sc.h(math.sqrt(float(np.vdot(x, x)))))
     sigma = full_svd(x).sigma
     return float(np.sum(sc.h(sigma)))

@@ -45,15 +45,15 @@ def test_polyak_zero_noise_contraction(rng):
 
 
 def test_storm_alpha_one_collapses():
-    st = sp.initial_state("storm", pv(9.0), x0=pv(0.0))
-    st = sp.storm_update(st, pv(3.0), pv(7.0), alpha_k=1.0, x=pv(1.0))
+    st = sp.initial_state("storm", pv(9.0))
+    st = sp.storm_update(st, pv(3.0), pv(7.0), alpha_k=1.0)
     np.testing.assert_allclose(st.d[0], [3.0])
 
 
 def test_storm_deterministic_same_point_keeps_direction():
     # alpha near 0, gradients equal at both points -> d unchanged
-    st = sp.initial_state("storm", pv(2.0), x0=pv(0.0))
-    st2 = sp.storm_update(st, pv(2.0), pv(2.0), alpha_k=1e-12, x=pv(0.0))
+    st = sp.initial_state("storm", pv(2.0))
+    st2 = sp.storm_update(st, pv(2.0), pv(2.0), alpha_k=1e-12)
     np.testing.assert_allclose(st2.d[0], st.d[0], atol=1e-11)
 
 
@@ -64,7 +64,7 @@ def test_storm_formula_matches_independent_transcription(rng):
         gx = rng.standard_normal(5)
         gp = rng.standard_normal(5)
         a = float(rng.uniform(0.05, 1.0))
-        st = sp.initial_state("storm", sp.ParamVec([d_old]), x0=pv(0.0))
+        st = sp.initial_state("storm", sp.ParamVec([d_old]))
         st = sp.storm_update(st, sp.ParamVec([gx]), sp.ParamVec([gp]), a)
         expected = (1.0 - a) * d_old + a * gx + (1.0 - a) * (gx - gp)
         np.testing.assert_allclose(st.d[0], expected, atol=1e-14)
@@ -75,11 +75,11 @@ def test_storm_telescoping_with_exact_oracle(rng):
     A = rng.standard_normal((4, 4))
     prob = sp.QuadraticProblem(A=A, b=rng.standard_normal(4), L=None, F_star_hint=0.0)
     x = sp.ParamVec([rng.standard_normal(4)])
-    st = sp.initial_state("storm", prob.grad_f(x), x0=x)
+    st = sp.initial_state("storm", prob.grad_f(x))
     for k in range(5):
         x_new = sp.ParamVec([x[0] - 0.1 * rng.standard_normal(4)])
-        st = sp.storm_update(st, prob.grad_f(x_new), prob.grad_f(st.x_prev),
-                             alpha_k=(k + 2.0) ** (-2.0 / 3.0), x=x_new)
+        st = sp.storm_update(st, prob.grad_f(x_new), prob.grad_f(x),
+                             alpha_k=(k + 2.0) ** (-2.0 / 3.0))
         x = x_new
         assert sp.norm2(st.d - prob.grad_f(x)) <= 1e-12
 
@@ -107,7 +107,7 @@ def test_alpha_range_validation():
         sp.polyak_update(st, pv(1.0), alpha=0.0)
     with pytest.raises(sp.InvalidConfigError):
         sp.polyak_update(st, pv(1.0), alpha=1.5)
-    st2 = sp.initial_state("storm", pv(1.0), x0=pv(0.0))
+    st2 = sp.initial_state("storm", pv(1.0))
     with pytest.raises(sp.InvalidConfigError):
         sp.storm_update(st2, pv(1.0), pv(1.0), alpha_k=-0.1)
 

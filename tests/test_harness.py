@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -68,6 +69,43 @@ def test_csv_byte_determinism():
     a = traces_to_csv(execute(cfg).traces)
     b = traces_to_csv(execute(cfg).traces)
     assert a == b
+
+
+# SHA-256 of the trace CSV for one small config per path through the run
+# loop.  The digests pin the bytes across commits, not just across two runs of
+# one checkout; they are tied to this numpy/BLAS build, so a different numpy
+# or BLAS may legitimately change them.
+PINNED_TRACE_DIGESTS = {
+    "deterministic": (
+        dict(mode="deterministic", noise="none", gamma=0.1),
+        "22a9ffea161bf3552983fe349982e9874b2d716bfe83cd451bc810cbc06dfef5"),
+    "polyak-gaussian": (
+        dict(),
+        "b41a7419ee95da99cb2306ba543156479d26d5d8375dfe14948527c635c9e79b"),
+    "polyak-student-t": (
+        dict(noise="student-t"),
+        "9024e04b5c2dab718f1193ba6c42e3eac7ee48571c71174c23e171fe4752c996"),
+    "storm": (
+        dict(mode="storm"),
+        "700861612d6a9fb1b1b6f7f36a8e33d12fc51724839850bb0522f97acd26905b"),
+    "normalized-exact": (
+        dict(mode="polar", constraint="zero"),
+        "c46f5e5d281960b2396431c794cb1460e067ee318b21804d0b70ef34f12a42f8"),
+    "normalized-newton-schulz": (
+        dict(mode="polar", constraint="zero", poly_schedule="newton-schulz"),
+        "037e2300692e467900e7604aae4027394d46e8026832f55b3441984b403dad47"),
+    "spectral-polyak": (
+        dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
+             constraint="spectral-ball"),
+        "1051e579d41348a5f78aab166491fd19f75d50ca9cf6334670e805e8c6191cd8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRACE_DIGESTS))
+def test_trace_csv_matches_pinned_digest(case):
+    overrides, digest = PINNED_TRACE_DIGESTS[case]
+    csv = traces_to_csv(execute(small_cfg(**overrides)).traces)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 def test_seeds_progress_per_repetition():
