@@ -11,8 +11,9 @@ estimator (true gradient, Polyak momentum, or recursive two-evaluation
 momentum) with its schedule, and the step rule (the prox step above, or the
 normalized step that divides d by its norm before preconditioning).  Every
 run is replayable from its seed.  The diagnostics (gap, gradient norm) use
-the true gradient, which never enters a stochastic update; grad_f(x^{k+1}) is
-evaluated once and serves both the gap of step k and step k+1.
+the true gradient; a stochastic update sees it only through an oracle sample,
+the true gradient plus token noise.  grad_f(x^{k+1}) is evaluated once and
+serves the gap of step k, step k+1 and the token-(k+1) samples.
 """
 
 from __future__ import annotations
@@ -256,22 +257,22 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
     if deterministic:
         state = initial_state("plain", g)
 
-        def next_direction(state, k, x, x_next, g_next):
+        def next_direction(state, k, g, g_next):
             return DirectionState(d=g_next, kind="plain", k=k + 1)
     elif storm:
-        state = initial_state("storm", oracle.sample(x, token=0))
+        state = initial_state("storm", oracle.perturb(g, token=0))
 
-        def next_direction(state, k, x, x_next, g_next):
+        def next_direction(state, k, g, g_next):
             # One fresh sample, evaluated at both the new and the old iterate.
             alpha_next, _ = schedule_at(k + 1)
-            g_new = oracle.sample(x_next, token=k + 1)
-            g_old = oracle.sample(x, token=k + 1)
+            g_new = oracle.perturb(g_next, token=k + 1)
+            g_old = oracle.perturb(g, token=k + 1)
             return storm_update(state, g_new, g_old, alpha_next)
     else:
-        state = initial_state("polyak", oracle.sample(x, token=0))
+        state = initial_state("polyak", oracle.perturb(g, token=0))
 
-        def next_direction(state, k, x, x_next, g_next):
-            return polyak_update(state, oracle.sample(x_next, token=k + 1), constant[0])
+        def next_direction(state, k, g, g_next):
+            return polyak_update(state, oracle.perturb(g_next, token=k + 1), constant[0])
 
     trace = Trace(mode=mode.trace_name, seed=config.seed)
     xs = [x] if record_iterates else None
@@ -280,7 +281,7 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
         f_here = problem.f(x)
         reg = regularized_gap(spec, ref, gamma, x, g) if record_reg_gap and deterministic else None
         x_next, subgrad = advance(x, state.d, gamma)
-        # grad_f(x^{k+1}) serves this gap and the diagnostics of iteration k+1.
+        # grad_f(x^{k+1}) serves this gap, the next samples and iteration k+1.
         g_next = problem.grad_f(x_next)
         trace.records.append(TraceRecord(
             k=k,
@@ -295,7 +296,7 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
             reg_gap=reg,
         ))
         if k < K:
-            state = next_direction(state, k, x, x_next, g_next)
+            state = next_direction(state, k, g, g_next)
         x, g = x_next, g_next
         if record_iterates:
             xs.append(x)

@@ -233,12 +233,15 @@ class GradientOracle:
         self.seed = int(seed)
         self.calls = 0
 
-    def sample(self, x: ParamVec, token: int) -> ParamVec:
+    def perturb(self, g: ParamVec, token: int) -> ParamVec:
+        """One oracle call at a point whose true gradient ``g`` is known."""
         self.calls += 1
-        g = self.problem.grad_f(x)
         if self.noise.kind == "none":
             return g
         return g + self.noise.draw(_token_rng(self.seed, token), self.problem.shapes)
+
+    def sample(self, x: ParamVec, token: int) -> ParamVec:
+        return self.perturb(self.problem.grad_f(x), token)
 
 
 def sample_gradient(problem, x: ParamVec, noise: NoiseModel, sample_token: int,

@@ -12,11 +12,9 @@ Two families are provided:
   closed-form conjugate pair ``h*'(s) = s/(eps+|s|)`` and
   ``h*(s) = |s| - eps*log(1+|s|/eps)``.
 * :class:`HyperKappa` -- ``h*'(s) = s/(eps^k + |s|^k)^(1/k)``.  ``k = 1``
-  recovers the barrier; ``k = 2`` has the closed form
-  ``h*(s) = sqrt(eps^2+s^2) - eps``; other exponents evaluate ``h*`` by
-  Gauss-Kronrod quadrature accumulated on a cached geometric grid, with the
-  residual panel integrated by fixed-order Gauss-Legendre so vectorized
-  queries stay cheap and accurate.
+  recovers the barrier; ``k = 2`` gives ``h*(s) = sqrt(eps^2+s^2) - eps``;
+  every other exponent has the closed form, with ``x = |s|/eps``,
+  ``h*(s) = eps*x^2/2 * 2F1(1/k, 2/k; 1+2/k; -x^k)``.
 
 A :class:`ReferenceFn` attaches one scalar function and one structure
 (coordinatewise, radial, or their spectral lifts acting on singular values)
@@ -26,12 +24,11 @@ to every block of a parameter vector.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import hyp2f1
 
 from .errors import BoundaryError, InvalidConfigError, InvalidInputError
 from .tensor import ParamVec, dot, full_svd
@@ -42,10 +39,6 @@ BOUNDARY_MARGIN = 1e-12
 # but for very flat families (large kappa) the float64 value saturates to 1.0
 # at moderate arguments; capping keeps outputs strictly inside the domain.
 _RANGE_CAP = 1.0 - 1e-15
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class Structure(Enum):
@@ -117,13 +110,20 @@ class HyperKappa:
 
     Defined through its conjugate derivative
     ``h*'(s) = s / (eps^k + |s|^k)^(1/k)``, whose inverse has the closed form
-    ``h'(t) = eps * t / (1 - |t|^k)^(1/k)`` on ``(-1, 1)``.  ``h`` itself is
-    recovered from the conjugacy identity ``h(t) = t*h'(t) - h*(h'(t))``;
-    at ``|t| = 1`` the limit ``h(1) = integral_0^inf (1 - h*'(u)) du`` is used
-    (finite for ``kappa > 1``, infinite for ``kappa = 1``).
+    ``h'(t) = eps * t / (1 - |t|^k)^(1/k)`` on ``(-1, 1)``.
+
+    With ``x = |s|/eps`` the conjugate is the hypergeometric closed form
+    ``h*(s) = eps*x^2/2 * 2F1(1/k, 2/k; 1+2/k; -x^k)`` (``k = 1`` and
+    ``k = 2`` use their elementary forms).  ``h`` itself is recovered from
+    the conjugacy identity ``h(t) = t*h'(t) - h*(h'(t))``.  At ``|t| = 1`` it
+    takes the limit ``h(1) = integral_0^inf (1 - h*'(u)) du
+    = -eps*Gamma(1+2/k)*Gamma(-1/k) / (2*Gamma(1/k))``, finite for
+    ``kappa > 1``, ``eps`` at ``kappa = 2`` and infinite at ``kappa = 1``.
+    ``h*(s)`` approaches the asymptote ``|s| - h(1)`` from above; where
+    ``x``, ``x^k`` or ``x^2`` overflows, the asymptote is returned.
     """
 
-    __slots__ = ("epsilon", "kappa", "_cache")
+    __slots__ = ("epsilon", "kappa")
 
     def __init__(self, epsilon: float, kappa: float):
         epsilon = float(epsilon)
@@ -134,7 +134,6 @@ class HyperKappa:
             raise InvalidConfigError(f"HyperKappa kappa must be >= 1, got {kappa}")
         self.epsilon = epsilon
         self.kappa = kappa
-        self._cache = None
 
     def __repr__(self):
         return f"HyperKappa(epsilon={self.epsilon!r}, kappa={self.kappa!r})"
@@ -174,85 +173,35 @@ class HyperKappa:
 
     # -- conjugate values -----------------------------------------------------
 
-    def _residual(self, u):
-        """1 - h*'(u) for u >= 0; integrable tail for kappa > 1."""
-        return 1.0 - self.h_star_prime(u)
-
-    def _grid(self):
-        if self._cache is not None:
-            return self._cache
-        eps, k = self.epsilon, self.kappa
-        if k > 1.0:
-            # a_max such that the residual tail integral is below 1e-15.
-            a_max = (eps**k / (k * (k - 1.0) * 1e-15)) ** (1.0 / (k - 1.0))
-            a_max = min(max(a_max, 10.0 * eps), 1e30)
-        else:
-            a_max = 1e30
-        lo = eps * 1e-3
-        decades = math.log10(a_max / lo)
-        n_anchor = max(16, int(math.ceil(48 * decades)))
-        anchors = np.concatenate(([0.0], np.geomspace(lo, a_max, n_anchor)))
-        panel = np.empty(n_anchor)
-        with warnings.catch_warnings():
-            # far panels sit at the float64 noise floor of the residual
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for i in range(n_anchor):
-                panel[i], _ = quad(
-                    self._residual, anchors[i], anchors[i + 1],
-                    epsabs=1e-14, epsrel=1e-12, limit=200,
-                )
-        cum = np.concatenate(([0.0], np.cumsum(panel)))
-        if k > 1.0:
-            # residual(u) <= (eps/u)^k / k, so the remaining tail is bounded by
-            tail_bound = eps**k * a_max ** (1.0 - k) / (k * (k - 1.0))
-        else:
-            tail_bound = math.inf
-        if tail_bound > 1e-13:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                tail, _ = quad(self._residual, a_max, np.inf, epsabs=1e-13, limit=500)
-        else:
-            tail = 0.5 * tail_bound
-        self._cache = (anchors, cum, float(cum[-1] + tail))
-        return self._cache
-
     def residual_integral_limit(self) -> float:
         """integral_0^inf (1 - h*'(u)) du; equals h at the domain boundary."""
-        if self.kappa == 1.0:
+        k = self.kappa
+        if k == 1.0:
             return math.inf
-        if self.kappa == 2.0:
+        if k == 2.0:
             return self.epsilon
-        return self._grid()[2]
+        g = math.gamma
+        return -self.epsilon * g(1.0 + 2.0 / k) * g(-1.0 / k) / (2.0 * g(1.0 / k))
 
     def h_star(self, s):
-        s_in = np.asarray(s, dtype=float)
-        a = np.abs(s_in)
-        if self.kappa == 1.0:
-            out = a - self.epsilon * np.log1p(a / self.epsilon)
-            return out if out.ndim else float(out)
-        if self.kappa == 2.0:
-            out = np.hypot(self.epsilon, a) - self.epsilon
-            return out if out.ndim else float(out)
-        anchors, cum, r_inf = self._grid()
-        flat = np.atleast_1d(a).ravel()
-        res = np.empty_like(flat)
-        inside = flat <= anchors[-1]
-        if inside.any():
-            q = flat[inside]
-            idx = np.searchsorted(anchors, q, side="right") - 1
-            idx = np.clip(idx, 0, anchors.size - 2)
-            lo = anchors[idx]
-            width = q - lo
-            nodes = lo[:, None] + width[:, None] * _GL01_NODES[None, :]
-            partial = width * (self._residual(nodes) @ _GL01_WEIGHTS)
-            res[inside] = cum[idx] + partial
-        if (~inside).any():
-            # Beyond the cached grid the residual integral has converged.
-            res[~inside] = r_inf
-        out = (flat - res).reshape(np.atleast_1d(a).shape)
-        if s_in.ndim == 0:
-            return float(out[0])
-        return out.reshape(s_in.shape)
+        a = np.abs(np.asarray(s, dtype=float))
+        eps, k = self.epsilon, self.kappa
+        if k == 1.0:
+            out = a - eps * np.log1p(a / eps)
+        elif k == 2.0:
+            out = np.hypot(eps, a) - eps
+        else:
+            h1 = self.residual_integral_limit()
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = a / eps
+                xk = np.power(x, k)
+                out = eps * (0.5 * x * x) * hyp2f1(1.0 / k, 2.0 / k, 1.0 + 2.0 / k, -xk)
+                # Past the float64 range the residual integral has converged.
+                out = np.where(np.isfinite(xk) & np.isfinite(out), out, a - h1)
+            # h*(s) = |s| minus a residual integral in [0, h(1)]; the clip keeps
+            # the rounding of the hypergeometric product at large |s| inside it.
+            out = np.clip(out, a - h1, a)
+        return out if out.ndim else float(out)
 
     def h(self, t):
         t_in = np.asarray(t, dtype=float)

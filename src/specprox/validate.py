@@ -23,6 +23,7 @@ def _scalar_refs():
     return [
         ("barrier(1.0)", Barrier(1.0)),
         ("hyper(3e-4,4)", HyperKappa(3e-4, 4.0)),
+        ("hyper(1e-3,1.5)", HyperKappa(1e-3, 1.5)),
     ]
 
 

@@ -195,6 +195,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_run_hyper_kappa_near_one(tmp_path):
+    cfg_path = tmp_path / "hyper.cfg"
+    out = tmp_path / "h.csv"
+    cfg = small_cfg(reference="hyper-aniso", epsilon=1.0, kappa=1.01, out=str(out))
+    cfg_path.write_text(sp.serialize_config(cfg))
+    assert main(["run", "--config", str(cfg_path), "--quiet"]) == 0
+    lines = out.read_text().strip().split("\n")
+    col = lines[0].split(",").index("gap_bregman")
+    assert all(math.isfinite(float(row.split(",")[col])) for row in lines[1:])
+
+
 def test_cli_polar_fit_csv(tmp_path):
     out = tmp_path / "fit.csv"
     code = main(["polar-fit", "--eps", "3e-4", "--kappa", "4", "--out", str(out),

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -82,7 +84,8 @@ def test_barrier_closed_forms():
 
 
 @pytest.mark.parametrize("sc", [sp.HyperKappa(3e-4, 4.0), sp.HyperKappa(0.5, 3.0),
-                                sp.HyperKappa(1.0, 4.0)], ids=repr)
+                                sp.HyperKappa(1.0, 4.0), sp.HyperKappa(1e-3, 1.05),
+                                sp.HyperKappa(0.1, 2.5), sp.HyperKappa(1.0, 8.0)], ids=repr)
 def test_hyper_h_star_against_direct_quadrature(sc, rng):
     for s in np.concatenate([10.0 ** rng.uniform(-5, 2, 20), [0.0, 1e-12, 50.0]]):
         assert sc.h_star(s) == pytest.approx(quad_h_star(sc, s), abs=5e-10)
@@ -93,6 +96,46 @@ def test_hyper_h_star_against_direct_quadrature(sc, rng):
 def test_hyper_h_against_numeric_legendre(sc, rng):
     for t in np.concatenate([rng.uniform(0.0, 0.98, 15), [0.999]]):
         assert sc.h(t) == pytest.approx(legendre_h(sc, t), abs=1e-9, rel=1e-9)
+
+
+def test_hyper_boundary_value_closed_form():
+    assert sp.HyperKappa(0.5, 2.0).h(1.0) == 0.5
+    # -Gamma(3/2)*Gamma(-1/4) / (2*Gamma(1/4)), evaluated with 50-digit mpmath
+    assert sp.HyperKappa(1.0, 4.0).h(1.0) == pytest.approx(0.5990701173677961, abs=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [1.05, 1.5, 2.5, 3.0, 8.0])
+def test_hyper_h_increases_to_boundary_value(kappa):
+    hk = sp.HyperKappa(1e-3, kappa)
+    h1 = hk.h(1.0)
+    h_near = hk.h(1.0 - 10.0 ** -np.arange(1.0, 13.0))
+    assert np.all(np.diff(h_near) > 0.0)
+    assert np.all(h_near <= h1)
+    if kappa >= 1.5:
+        # the residual tail at delta = 1e-12 is far below h(1) itself
+        assert h1 - h_near[-1] < 1e-3 * h1
+
+
+@pytest.mark.parametrize("kappa", [1.01, 1.05, 4.0])
+def test_hyper_h_star_large_arguments(kappa):
+    hk = sp.HyperKappa(1.0, kappa)
+    s = np.array([1e10, 1e100, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hs = hk.h_star(s)
+        h1 = hk.h(1.0)
+    assert np.all(np.isfinite(hs))
+    # h*(s) = |s| - integral_0^|s| (1 - h*'(u)) du, and that integral is in [0, h(1)]
+    assert np.all(s - hs >= 0.0)
+    assert np.all(s - hs <= h1)
+
+
+def test_hyper_h_star_cold_start():
+    hk = sp.HyperKappa(1e-3, 1.05)
+    s = np.geomspace(1e-6, 1e3, 400)
+    start = time.perf_counter()
+    hk.h_star(s)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_hyper_kappa_one_matches_barrier(rng):
