@@ -109,7 +109,6 @@ from .tensor import (
     dot,
     full_svd,
     norm2,
-    singular_values,
     singular_values_batch,
     zeros,
 )

@@ -5,8 +5,9 @@ real vector or matrix blocks.  :class:`ParamVec` is an immutable-by-convention
 ordered tuple of such blocks; all arithmetic is blockwise and requires exactly
 matching shapes.
 
-``full_svd`` factors a real matrix with a one-sided Jacobi iteration.  The
-implementation is deliberately self-contained: the sweep order, the
+``full_svd`` and ``singular_values_batch`` share one one-sided Jacobi kernel.
+It is deliberately self-contained: the exact power-of-two prescale (which
+keeps it right at every finite float64 scale), the round-robin pair order, the
 convergence threshold, the orthonormal completion and the sign convention are
 all fixed, so a given input always produces bit-identical factors, which is
 what makes traces replayable.
@@ -14,6 +15,7 @@ what makes traces replayable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +23,12 @@ import numpy as np
 
 from .errors import ConformabilityError, InvalidInputError, NumericalError
 
-# Relative off-diagonal Gram threshold for Jacobi convergence.
+# Relative off-diagonal Gram threshold for Jacobi convergence, and an absolute
+# floor (on the prescaled matrix) below which no rotation acts on the data.
 _JACOBI_REL_TOL = 1e-12
+_GRAM_FLOOR = 2.0 ** -511
 _MAX_SWEEPS = 60
+_ROTATION_SIGNS = np.array([-1.0, 1.0])[:, None, None]  # p <- c (p - t q), q <- c (q + t p)
 
 
 def _as_block(a) -> np.ndarray:
@@ -187,8 +192,7 @@ class SvdResult:
     V: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        m, n = self.U.shape[0], self.V.shape[0]
-        q = min(m, n)
+        q = self.sigma.size
         return (self.U[:, :q] * self.sigma) @ self.V[:, :q].T
 
     def reduced(self, rel_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,44 +202,73 @@ class SvdResult:
         return self.U[:, : self.sigma.size][:, keep], self.sigma[keep], self.V[:, : self.sigma.size][:, keep]
 
 
-def _jacobi_sweeps(B: np.ndarray, V: np.ndarray | None) -> None:
-    """Cyclic one-sided Jacobi on the columns of B (in place), m >= n.
+@functools.lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, int], ...]:
+    """Round-robin (Brent-Luk) sweep over n columns: rounds of k = n//2 disjoint
+    pairs p < q that together cover every pair once, each stored as the index
+    array [p_1..p_k, q_1..q_k] and k."""
+    m = n + n % 2  # odd n: slot m-1 is a bye
+    rounds = []
+    for r in range(m - 1 if n > 1 else 0):
+        pairs = [(r, m - 1)] + [((r + i) % (m - 1), (r - i) % (m - 1)) for i in range(1, m // 2)]
+        pairs = sorted((min(a, b), max(a, b)) for a, b in pairs if max(a, b) < n)
+        cols = np.array([a for a, _ in pairs] + [b for _, b in pairs], dtype=np.intp)
+        cols.flags.writeable = False  # shared by every caller through the cache
+        rounds.append((cols, len(pairs)))
+    return tuple(rounds)
 
-    Rotates until every column pair has relative Gram off-diagonal below
-    the fixed threshold.  V, when given, accumulates the right rotations.
+
+def _jacobi(B: np.ndarray, V: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Jacobi on the columns of each matrix of an (N, big, small) stack.
+
+    ``B[i]`` is first scaled by the power of two ``2**-e[i]`` that puts its
+    largest entry in [0.5, 1), which is exact and keeps the Gram entries from
+    under- or overflowing.  A pair is left alone once ``|apq|`` is at most
+    ``tol * sqrt(app) * sqrt(aqq)`` or ``_GRAM_FLOOR`` (the floor moves no sigma
+    by more than ``sqrt(small) * 2**-254 * sigma_max``).  In place, ``B`` becomes
+    ``U Sigma 2**-e`` and the optional (N, small, small) ``V`` accumulates the
+    right rotations.  Returns the column norms of ``B`` (unsorted) and ``e``.
     """
-    n = B.shape[1]
+    N, big, small = B.shape
+    _, e = np.frexp(np.abs(B).max(axis=(1, 2), initial=0.0))
+    # W[r, j, i] is entry r of column j of B[i] (then of V[i]).  The stack
+    # index is innermost, so each numpy call below spans the whole stack, and
+    # every Gram entry is summed over r in order, whatever N.
+    W = np.ldexp(B, -e[:, None, None]).transpose(1, 2, 0)
+    if V is not None:
+        W = np.concatenate((W, V.transpose(1, 2, 0)))
+    W = np.ascontiguousarray(W)
+    width = W.shape[0]
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                bp = B[:, p]
-                bq = B[:, q]
-                app = float(bp @ bp)
-                aqq = float(bq @ bq)
-                apq = float(bp @ bq)
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= _JACOBI_REL_TOL * denom:
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c * bp - s * bq
-                new_q = s * bp + c * bq
-                B[:, p] = new_p
-                B[:, q] = new_q
-                if V is not None:
-                    vp = V[:, p].copy()
-                    vq = V[:, q]
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
+        for cols, k in _round_robin(small):
+            X = W.take(cols, axis=1).reshape(width, 2, k, N)  # X[:, 0] = p, X[:, 1] = q
+            G = X[:big]
+            gram = np.add.reduce(G[:, :, None] * G[:, None], axis=0)  # [[app, apq], [apq, aqq]]
+            apq = gram[0, 1]
+            mask = np.abs(apq) > np.maximum(
+                _JACOBI_REL_TOL * (np.sqrt(gram[0, 0]) * np.sqrt(gram[1, 1])), _GRAM_FLOOR)
+            if not np.count_nonzero(mask):
+                continue
+            rotated = True
+            # t = tan(theta), the smaller root of t^2 + 2 zeta t = 1, zeta = d / (2 apq).
+            d, a2 = gram[1, 1] - gram[0, 0], apq + apq
+            t = np.divide(a2, d + np.copysign(np.hypot(d, a2), d),
+                          out=np.zeros(a2.shape), where=mask)
+            X = X + (t * _ROTATION_SIGNS) * X[:, ::-1]
+            W[:, cols] = (X / np.hypot(1.0, t)).reshape(width, 2 * k, N)
         if not rotated:
-            return
-    raise NumericalError(
-        f"one-sided Jacobi did not converge in {_MAX_SWEEPS} sweeps (shape {B.shape})"
-    )
+            break
+    else:
+        raise NumericalError(
+            f"one-sided Jacobi did not converge in {_MAX_SWEEPS} sweeps (shape {B.shape[1:]})"
+        )
+    G = W[:big]
+    B[...] = G.transpose(2, 0, 1)
+    if V is not None:
+        V[...] = W[big:].transpose(2, 0, 1)
+    # accumulate sums in order also for a single column, where reduce goes pairwise.
+    return np.sqrt(np.add.accumulate(G * G)[-1]).T, e
 
 
 def _complete_orthonormal(cols: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
@@ -299,8 +332,9 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray, q: int) -> None:
 def full_svd(M) -> SvdResult:
     """Full SVD of a real matrix via one-sided Jacobi on the smaller dimension.
 
-    Deterministic: fixed cyclic sweep order, stable nonincreasing sort of the
-    singular values, and a fixed sign convention on the singular vectors.
+    Deterministic: exact power-of-two prescale, fixed round-robin sweep order,
+    stable nonincreasing sort of the singular values, and a fixed sign
+    convention on the singular vectors.  Right at every finite input scale.
 
     Raises
     ------
@@ -314,28 +348,20 @@ def full_svd(M) -> SvdResult:
         raise InvalidInputError("full_svd: non-finite entries")
     m, n = A.shape
     transposed = m < n
-    B = A.T.copy() if transposed else A.copy()
-    big, small = B.shape
-    W = np.eye(small)
-    _jacobi_sweeps(B, W)
-    sigma = np.sqrt((B * B).sum(axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    B = B[:, order]
-    W = W[:, order]
-    left = _complete_orthonormal(B, sigma, big)
+    B = (A.T if transposed else A)[None].copy()
+    big, small = B.shape[1:]
+    W = np.eye(small)[None]
+    scaled, e = _jacobi(B, W)
+    order = np.argsort(-scaled[0], kind="stable")
+    scaled = scaled[0, order]
+    left = _complete_orthonormal(B[0][:, order], scaled, big)
+    W = W[0][:, order]
     if transposed:
         U, V = W, left
     else:
         U, V = left, W
-    q = min(m, n)
-    _apply_sign_convention(U, V, q)
-    return SvdResult(U=U, sigma=sigma, V=V)
-
-
-def singular_values(M) -> np.ndarray:
-    """Singular values in nonincreasing order (no vector accumulation)."""
-    return singular_values_batch(np.asarray(M, dtype=float)[None, :, :])[0]
+    _apply_sign_convention(U, V, small)
+    return SvdResult(U=U, sigma=np.ldexp(scaled, e[0]), V=V)
 
 
 def singular_values_batch(stack) -> np.ndarray:
@@ -343,44 +369,16 @@ def singular_values_batch(stack) -> np.ndarray:
 
     The rotation schedule is data-independent, so all matrices in the stack
     are swept simultaneously with vectorized column rotations; this is the
-    fast path for property tests that need thousands of small spectra.
+    fast path for property tests that need thousands of small spectra.  Row i
+    equals ``full_svd(stack[i]).sigma`` bit for bit.
     """
     A = np.asarray(stack, dtype=float)
     if A.ndim != 3:
         raise InvalidInputError("singular_values_batch expects an (N, m, n) stack")
     if not np.isfinite(A).all():
         raise InvalidInputError("singular_values_batch: non-finite entries")
-    N, m, n = A.shape
-    B = np.transpose(A, (0, 2, 1)).copy() if m < n else A.copy()
-    small = B.shape[2]
-    for _ in range(_MAX_SWEEPS):
-        any_rot = False
-        for p in range(small - 1):
-            for q in range(p + 1, small):
-                bp = B[:, :, p]
-                bq = B[:, :, q]
-                app = (bp * bp).sum(axis=1)
-                aqq = (bq * bq).sum(axis=1)
-                apq = (bp * bq).sum(axis=1)
-                denom = np.sqrt(app * aqq)
-                mask = np.abs(apq) > _JACOBI_REL_TOL * denom
-                if not mask.any():
-                    continue
-                any_rot = True
-                safe_apq = np.where(mask, apq, 1.0)
-                zeta = (aqq - app) / (2.0 * safe_apq)
-                t = np.sign(zeta + (zeta == 0.0)) / (np.abs(zeta) + np.hypot(1.0, zeta))
-                t = np.where(mask, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                new_p = c[:, None] * bp - s[:, None] * bq
-                new_q = s[:, None] * bp + c[:, None] * bq
-                B[:, :, p] = new_p
-                B[:, :, q] = new_q
-        if not any_rot:
-            break
-    else:
-        raise NumericalError("batched Jacobi did not converge")
-    sigma = np.sqrt((B * B).sum(axis=1))
+    B = np.transpose(A, (0, 2, 1)).copy() if A.shape[1] < A.shape[2] else A.copy()
+    scaled, e = _jacobi(B)
+    sigma = np.ldexp(scaled, e[:, None])
     sigma.sort(axis=1)
     return sigma[:, ::-1]

@@ -75,13 +75,14 @@ def check_prox_oracles(instances: int = 12, seed: int = 2) -> tuple[bool, str]:
 
 def check_svd(seed: int = 3) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal(shape) for shape in ((5, 3), (4, 6), (7, 7), (4, 3))]
     worst = 0.0
-    for shape in ((5, 3), (4, 6), (7, 7)):
-        M = rng.standard_normal(shape)
+    for M in mats + [mats[-1] * 1e-200, mats[-1] * 1e150]:
         res = full_svd(M)
-        worst = max(worst, float(np.abs(res.reconstruct() - M).max()))
-        worst = max(worst, float(np.abs(res.U.T @ res.U - np.eye(shape[0])).max()))
-        worst = max(worst, float(np.abs(res.V.T @ res.V - np.eye(shape[1])).max()))
+        # Reconstruction relative to max |M_ij|; orthogonality is scale-free.
+        worst = max(worst, float(np.abs(res.reconstruct() - M).max() / np.abs(M).max()))
+        worst = max(worst, float(np.abs(res.U.T @ res.U - np.eye(M.shape[0])).max()))
+        worst = max(worst, float(np.abs(res.V.T @ res.V - np.eye(M.shape[1])).max()))
     return worst <= 1e-10, f"max factor residual {worst:.2e}"
 
 

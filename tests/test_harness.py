@@ -97,7 +97,7 @@ PINNED_TRACE_DIGESTS = {
     "spectral-polyak": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="spectral-ball"),
-        "1051e579d41348a5f78aab166491fd19f75d50ca9cf6334670e805e8c6191cd8"),
+        "789d2a0322ae6c810a2a8e7bf7712fdcf6e8fccbd1b1e2f77763b9de323bf45e"),
 }
 
 

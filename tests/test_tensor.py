@@ -179,10 +179,85 @@ def test_sigma_orthogonal_invariance(rng):
 
 
 def test_singular_values_batch_matches_single(rng):
-    stack = rng.standard_normal((20, 6, 4))
+    # sigma of a matrix must not depend on the stack it is in: bit for bit,
+    # even when the other matrices of the stack live at other scales.
+    for shape in ((6, 4), (3, 11), (9, 1)):
+        stack = rng.standard_normal((20,) + shape) * np.logspace(-300, 300, 20)[:, None, None]
+        batch = sp.singular_values_batch(stack)
+        for i in range(20):
+            assert np.array_equal(batch[i], sp.full_svd(stack[i]).sigma)
+
+
+# ---------------------------------------------------------------------------
+# SVD: extreme scales and degenerate spectra against LAPACK
+# ---------------------------------------------------------------------------
+
+EXTREME_SCALES = [1e-300, 1e-200, 1e-160, 1e150, 1e160, 1e300]
+
+
+def _unit_scale_inputs():
+    rng = np.random.default_rng(2024)
+    dup = rng.standard_normal((5, 4))
+    dup[:, 3] = dup[:, 0]
+    return {
+        "random": rng.standard_normal((5, 4)),
+        "rank-deficient": dup,
+        # Q1 I_3 Q2: sigma = (1, 1, 1, 0), and the columns are not orthogonal.
+        "repeated-sigma": random_orthogonal(5, rng)[:, :3] @ random_orthogonal(4, rng)[:3],
+    }
+
+
+def _assert_matches_lapack(A, tol=1e-13):
+    """sigma, reconstruction and orthogonality of full_svd(A), relative to ||A||_2."""
+    ref = np.linalg.svd(A, compute_uv=False)
+    smax = ref[0]
+    res = sp.full_svd(A)
+    np.testing.assert_allclose(res.sigma / smax, ref / smax, rtol=0.0, atol=tol)
+    q = ref.size
+    rec = (res.U[:, :q] * (res.sigma / smax)) @ res.V[:, :q].T
+    np.testing.assert_allclose(rec, A / smax, rtol=0.0, atol=tol)
+    # Columns count as orthogonal at a relative Gram entry of 1e-12, so that
+    # is the order the factors are orthogonal to.
+    np.testing.assert_allclose(res.U.T @ res.U, np.eye(A.shape[0]), rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(res.V.T @ res.V, np.eye(A.shape[1]), rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+@pytest.mark.parametrize("kind", ["random", "rank-deficient", "repeated-sigma"])
+def test_full_svd_matches_lapack_at_extreme_scales(kind, scale):
+    _assert_matches_lapack(_unit_scale_inputs()[kind] * scale)
+
+
+def test_full_svd_matches_lapack_near_overflow():
+    A = _unit_scale_inputs()["random"]
+    A = A / np.abs(A).max() * 4e307
+    assert np.abs(A).max() >= 1e307
+    _assert_matches_lapack(A)
+    _assert_matches_lapack(A.T)
+
+
+def test_singular_values_batch_mixed_scales_match_lapack():
+    inputs = _unit_scale_inputs()
+    stack = np.stack([A * scale for A in inputs.values() for scale in EXTREME_SCALES + [1.0]])
+    big = inputs["random"] / np.abs(inputs["random"]).max() * 4e307
+    stack = np.concatenate([stack, big[None]])
     batch = sp.singular_values_batch(stack)
-    for i in range(20):
-        np.testing.assert_allclose(batch[i], sp.full_svd(stack[i]).sigma, atol=1e-10)
+    for A, sigma in zip(stack, batch):
+        ref = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_allclose(sigma / ref[0], ref / ref[0], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair(n):
+    from specprox.tensor import _round_robin
+
+    seen = []
+    for rows, k in _round_robin(n):
+        p, q = rows[:k], rows[k: 2 * k]
+        assert k == n // 2 and np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * k
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 # ---------------------------------------------------------------------------
