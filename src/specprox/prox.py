@@ -3,9 +3,16 @@
 The backward step solves ``argmin_x g(x) + gamma*phi((x - y)/gamma)`` where
 ``g`` is the indicator of a constraint set (or zero).  For coordinatewise
 (ANISO) reference functions the vector sets below have closed forms or a 1-d
-bisection; matrix sets reduce to the vector problem on the singular values and
-are reassembled with the singular vectors of the input.  For radial (ISO)
-reference functions every backward step collapses to the Euclidean projection.
+bisection; for radial (ISO) reference functions every backward step collapses
+to the Euclidean projection.
+
+A matrix set is the vector set its singular values lie in (Stiefel -> sign
+set, Frobenius ball -> l2 ball, spectral ball and sphere -> l-inf ball and
+sphere, rank limit -> hard threshold).  The matrix backward step, the
+feasibility measure and the start point run the vector code on sigma; the
+backward step reassembles with the singular vectors of the input.
+:func:`recover_subgradient` is one :func:`~specprox.reference.lift` of the
+clamped ``-h'``, so each block is measured and factored once.
 
 Tie-breaking is deterministic everywhere: ``sign(0) = +1``, and magnitude ties
 are resolved toward the lowest index.
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, NumericalError
-from .reference import BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure, grad_phi
+from .reference import BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure, lift
 from .tensor import ParamVec, full_svd
 
 
@@ -106,14 +113,21 @@ class RankLimit:
 VECTOR_TAGS = (Zero, SignSet, L2Ball, LinfBall, LinfSphere, HardThreshold)
 MATRIX_TAGS = (Zero, Stiefel, FrobeniusBall, SpectralBall, SpectralSphere, RankLimit)
 
-# Matrix set -> equivalent vector set acting on the singular values.
+# Matrix set -> the vector set its singular values lie in.
 _SIGMA_TAG = {
-    Stiefel: lambda t, n: SignSet(t.radius),
-    FrobeniusBall: lambda t, n: L2Ball(t.radius),
-    SpectralBall: lambda t, n: LinfBall(t.radius),
-    SpectralSphere: lambda t, n: LinfSphere(t.radius),
-    RankLimit: lambda t, n: HardThreshold(t.rank),
+    Zero: lambda t: t,
+    Stiefel: lambda t: SignSet(t.radius),
+    FrobeniusBall: lambda t: L2Ball(t.radius),
+    SpectralBall: lambda t: LinfBall(t.radius),
+    SpectralSphere: lambda t: LinfSphere(t.radius),
+    RankLimit: lambda t: HardThreshold(t.rank),
 }
+
+
+def _sigma_tag(tag):
+    if type(tag) not in _SIGMA_TAG:
+        raise InvalidSpecError(f"unsupported matrix tag {type(tag).__name__}")
+    return _SIGMA_TAG[type(tag)](tag)
 
 
 def _validate_tag(tag, shape) -> None:
@@ -371,30 +385,23 @@ def prox_matrix(tag, ref, Y, gamma: float) -> np.ndarray:
     if not e.structure.is_spectral:
         raise InvalidSpecError("prox_matrix needs a spectral reference")
     _validate_tag(tag, Y.shape)
-    res = full_svd(Y)
-    q = res.sigma.size
     if isinstance(tag, Zero):
         return Y.copy()
-    sigma_tag = _SIGMA_TAG[type(tag)](tag, q)
+    res = full_svd(Y)
     vec_structure = Structure.ANISO if e.structure is Structure.SPECTRAL_ANISO else Structure.ISO
-    x_star = prox_vector(sigma_tag, BlockRef(vec_structure, e.scalar), res.sigma, gamma)
-    return (res.U[:, :q] * x_star) @ res.V[:, :q].T
+    x_star = prox_vector(_sigma_tag(tag), BlockRef(vec_structure, e.scalar), res.sigma, gamma)
+    return res.reconstruct(x_star)
 
 
 def prox(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec, gamma: float) -> ParamVec:
     """Blockwise backward step over the whole product space."""
     tags = spec.block_tags(y)
     ents = ref.block_entries(y)
-    out = []
-    for tag, e, b in zip(tags, ents, y.blocks):
-        if b.ndim == 1:
-            out.append(prox_vector(tag, e, b, gamma))
-        else:
-            if isinstance(tag, Zero):
-                out.append(b.copy())
-            else:
-                out.append(prox_matrix(tag, e, b, gamma))
-    return ParamVec(out, validate=False, copy=False)
+    return ParamVec(
+        ((prox_vector if b.ndim == 1 else prox_matrix)(tag, e, b, gamma)
+         for tag, e, b in zip(tags, ents, y.blocks)),
+        validate=False, copy=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,68 +409,42 @@ def prox(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec, gamma: float) -> P
 # ---------------------------------------------------------------------------
 
 
-def _clamp_into_domain(e: BlockRef, z: np.ndarray) -> np.ndarray:
-    limit = 1.0 - BOUNDARY_MARGIN
-    if e.structure is Structure.ANISO:
-        return np.clip(z, -limit, limit)
-    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
-        nz = math.sqrt(float(np.vdot(z, z)))
-        if nz > limit:
-            return (limit / nz) * z
-        return z
-    res = full_svd(z)
-    if res.sigma.size == 0 or res.sigma[0] <= limit:
-        return z
-    q = res.sigma.size
-    sig = np.minimum(res.sigma, limit)
-    return (res.U[:, :q] * sig) @ res.V[:, :q].T
-
-
 def recover_subgradient(x_next: ParamVec, y: ParamVec, gamma: float, ref: ReferenceFn) -> ParamVec:
     """The subgradient of g certified by the backward step.
 
     Returns ``-grad_phi((x_next - y)/gamma)``, the specific element of the
     subdifferential at the new point that the optimality condition of the
-    backward step produces.  The argument is clamped into the domain with
-    margin 1e-12 before differentiating.
+    backward step produces: the :func:`~specprox.reference.lift` of
+    ``t -> -h'(clip(t, -(1 - 1e-12), 1 - 1e-12))``, so each coordinate, norm
+    or singular value is clamped into the domain with margin 1e-12 before
+    differentiating.
     """
     z = (x_next - y) * (1.0 / gamma)
-    ents = ref.block_entries(z)
-    clamped = ParamVec(
-        (_clamp_into_domain(e, b) for e, b in zip(ents, z.blocks)),
+    limit = 1.0 - BOUNDARY_MARGIN
+    return ParamVec(
+        (lift(e, b, lambda t: -e.scalar.h_prime(np.clip(t, -limit, limit)))
+         for e, b in zip(ref.block_entries(z), z.blocks)),
         validate=False, copy=False,
     )
-    return -grad_phi(ref, clamped)
 
 
 def _feasibility_block(tag, x: np.ndarray) -> float:
     if isinstance(tag, Zero):
         return 0.0
-    if x.ndim == 1:
-        if isinstance(tag, SignSet):
-            return float(np.abs(np.abs(x) - tag.radius).max())
-        if isinstance(tag, L2Ball):
-            return max(0.0, math.sqrt(float(x @ x)) - tag.radius)
-        if isinstance(tag, LinfBall):
-            return max(0.0, float(np.abs(x).max()) - tag.radius)
-        if isinstance(tag, LinfSphere):
-            return abs(float(np.abs(x).max()) - tag.radius)
-        if isinstance(tag, HardThreshold):
-            mags = np.sort(np.abs(x))[::-1]
-            return float(mags[tag.sparsity]) if mags.size > tag.sparsity else 0.0
-        raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
-    sigma = full_svd(x).sigma
-    if isinstance(tag, Stiefel):
-        return float(np.abs(sigma - tag.radius).max())
-    if isinstance(tag, FrobeniusBall):
-        return max(0.0, math.sqrt(float(np.vdot(x, x))) - tag.radius)
-    if isinstance(tag, SpectralBall):
-        return max(0.0, float(sigma[0]) - tag.radius)
-    if isinstance(tag, SpectralSphere):
-        return abs(float(sigma[0]) - tag.radius)
-    if isinstance(tag, RankLimit):
-        return float(sigma[tag.rank]) if sigma.size > tag.rank else 0.0
-    raise InvalidSpecError(f"unsupported matrix tag {type(tag).__name__}")
+    if x.ndim == 2:
+        tag, x = _sigma_tag(tag), full_svd(x).sigma
+    if isinstance(tag, SignSet):
+        return float(np.abs(np.abs(x) - tag.radius).max())
+    if isinstance(tag, L2Ball):
+        return max(0.0, math.sqrt(float(x @ x)) - tag.radius)
+    if isinstance(tag, LinfBall):
+        return max(0.0, float(np.abs(x).max()) - tag.radius)
+    if isinstance(tag, LinfSphere):
+        return abs(float(np.abs(x).max()) - tag.radius)
+    if isinstance(tag, HardThreshold):
+        mags = np.sort(np.abs(x))[::-1]
+        return float(mags[tag.sparsity]) if mags.size > tag.sparsity else 0.0
+    raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
 
 
 def feasibility_error(spec: ConstraintSpec, x: ParamVec) -> float:
@@ -473,36 +454,31 @@ def feasibility_error(spec: ConstraintSpec, x: ParamVec) -> float:
     )
 
 
+def _vector_start(tag, n: int) -> np.ndarray:
+    if isinstance(tag, (Zero, L2Ball, LinfBall, HardThreshold)):
+        return np.zeros(n)
+    if isinstance(tag, SignSet):
+        return np.full(n, tag.radius)
+    if isinstance(tag, LinfSphere):
+        b = np.zeros(n)
+        b[0] = tag.radius
+        return b
+    raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
+
+
 def feasible_start(spec: ConstraintSpec, shapes) -> ParamVec:
-    """A deterministic feasible point to start a run from."""
+    """A deterministic feasible point to start a run from.
+
+    A matrix block is the vector start of its sigma-space set on the diagonal.
+    """
     shapes = list(shapes)
     blocks = []
     for i, shape in enumerate(shapes):
         tag = spec.tag(i, len(shapes))
         if len(shape) == 1:
-            n = shape[0]
-            if isinstance(tag, (Zero, L2Ball, LinfBall)):
-                blocks.append(np.zeros(n))
-            elif isinstance(tag, SignSet):
-                blocks.append(np.full(n, tag.radius))
-            elif isinstance(tag, LinfSphere):
-                b = np.zeros(n)
-                b[0] = tag.radius
-                blocks.append(b)
-            elif isinstance(tag, HardThreshold):
-                blocks.append(np.zeros(n))
-            else:
-                raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
+            blocks.append(_vector_start(tag, shape[0]))
         else:
-            m, n = shape
-            if isinstance(tag, (Zero, FrobeniusBall, SpectralBall, RankLimit)):
-                blocks.append(np.zeros((m, n)))
-            elif isinstance(tag, Stiefel):
-                blocks.append(tag.radius * np.eye(m, n))
-            elif isinstance(tag, SpectralSphere):
-                b = np.zeros((m, n))
-                b[0, 0] = tag.radius
-                blocks.append(b)
-            else:
-                raise InvalidSpecError(f"unsupported matrix tag {type(tag).__name__}")
+            b = np.zeros(shape)
+            np.fill_diagonal(b, _vector_start(_sigma_tag(tag), min(shape)))
+            blocks.append(b)
     return ParamVec(blocks, validate=False, copy=False)

@@ -16,9 +16,17 @@ Two families are provided:
   every other exponent has the closed form, with ``x = |s|/eps``,
   ``h*(s) = eps*x^2/2 * 2F1(1/k, 2/k; 1+2/k; -x^k)``.
 
-A :class:`ReferenceFn` attaches one scalar function and one structure
-(coordinatewise, radial, or their spectral lifts acting on singular values)
-to every block of a parameter vector.
+A :class:`ReferenceFn` attaches one scalar function and one structure to
+every block of a parameter vector.  Every blockwise operation is a scalar
+function passed through :func:`lift`, which applies it to the coordinates
+(ANISO), to the norm (ISO, SPECTRAL_ISO) or to the singular values
+(SPECTRAL_ANISO), keeping the direction or the singular vectors.  A spectral
+function ``F(X) = f(sigma(X))`` has the gradient ``U diag(f'(sigma)) V^T``
+(Lewis, "The convex analysis of unitarily invariant matrix functions",
+J. Convex Anal. 1995), so a spectral block is a vector block on its singular
+values.  :func:`precondition` and :func:`grad_phi` are lifts of ``h*'`` and
+``h'``; :func:`phi` and :func:`phi_star` sum ``h`` and ``h*`` over the same
+lifted arguments.
 """
 
 from __future__ import annotations
@@ -292,23 +300,14 @@ class ReferenceFn:
         shapes = list(shapes)
         out = []
         for i, shape in enumerate(shapes):
-            e = self.entry(i, len(shapes))
-            if e.structure is Structure.ANISO:
-                if len(shape) != 1:
-                    raise InvalidConfigError("ANISO applies to vector blocks")
-                out.append(math.sqrt(shape[0]))
-            elif e.structure is Structure.ISO:
-                if len(shape) != 1:
-                    raise InvalidConfigError("ISO applies to vector blocks")
-                out.append(1.0)
-            elif e.structure is Structure.SPECTRAL_ANISO:
-                if len(shape) != 2:
-                    raise InvalidConfigError("SPECTRAL_ANISO applies to matrix blocks")
-                out.append(math.sqrt(min(shape)))
-            else:
-                if len(shape) != 2:
-                    raise InvalidConfigError("SPECTRAL_ISO applies to matrix blocks")
-                out.append(1.0)
+            s = self.entry(i, len(shapes)).structure
+            if len(shape) != (2 if s.is_spectral else 1):
+                kind = "matrix" if s.is_spectral else "vector"
+                raise InvalidConfigError(f"{s.name} applies to {kind} blocks")
+            # A lifted argument is a coordinate or singular value (at most 1
+            # each, min(shape) of them) or a norm (at most 1).
+            aniso = s in (Structure.ANISO, Structure.SPECTRAL_ANISO)
+            out.append(math.sqrt(min(shape)) if aniso else 1.0)
         return out
 
     def domain_radius(self, x_or_shapes) -> float:
@@ -323,109 +322,90 @@ def _require_finite(x: ParamVec) -> None:
             raise InvalidInputError("non-finite entries")
 
 
-# -- forward preconditioner --------------------------------------------------
+# -- the structure lift ------------------------------------------------------
 
 
-def _precondition_block(e: BlockRef, d: np.ndarray) -> np.ndarray:
-    sc = e.scalar
+def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
+    """Apply the scalar map ``f`` to a block through the block's structure.
+
+    ``f`` acts on the coordinates (ANISO), on the norm with the direction kept
+    (ISO and SPECTRAL_ISO), or on the singular values with the singular
+    vectors kept (SPECTRAL_ANISO).  This is the gradient rule for every lifted
+    function: the gradient of ``F(X) = sum_i h(sigma_i(X))`` is
+    ``U diag(h'(sigma)) V^T``.
+    """
     if e.structure is Structure.ANISO:
-        return sc.h_star_prime(d)
-    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
-        nd = math.sqrt(float(np.vdot(d, d)))
-        if nd == 0.0:
-            return np.zeros_like(d)
-        return (sc.h_star_prime(nd) / nd) * d
-    res = full_svd(d)
-    q = res.sigma.size
-    vals = sc.h_star_prime(res.sigma)
-    return (res.U[:, :q] * vals) @ res.V[:, :q].T
+        return f(x)
+    if e.structure is Structure.SPECTRAL_ANISO:
+        res = full_svd(x)
+        return res.reconstruct(f(res.sigma))
+    nx = math.sqrt(float(np.vdot(x, x)))
+    if nx == 0.0:
+        return np.zeros_like(x)
+    return (f(nx) / nx) * x
+
+
+def _lift_sum(e: BlockRef, x: np.ndarray, f) -> float:
+    """Value of the lifted function: ``f`` summed over the arguments :func:`lift` uses."""
+    if e.structure is Structure.ANISO:
+        return float(np.sum(f(x)))
+    if e.structure is Structure.SPECTRAL_ANISO:
+        return float(np.sum(f(full_svd(x).sigma)))
+    return float(f(math.sqrt(float(np.vdot(x, x)))))
+
+
+# -- forward preconditioner --------------------------------------------------
 
 
 def precondition(ref: ReferenceFn, d: ParamVec) -> ParamVec:
     """Apply the dual-space preconditioner: the conjugate gradient of phi.
 
-    Coordinatewise for ANISO, radial for ISO, and acting on singular values
-    for the spectral structures.  Odd and bounded: every output block stays
+    :func:`lift` of ``h*'``.  Odd and bounded: every output block stays
     strictly inside the block domain.
     """
     _require_finite(d)
-    ents = ref.block_entries(d)
     return ParamVec(
-        (_precondition_block(e, b) for e, b in zip(ents, d.blocks)),
+        (lift(e, b, e.scalar.h_star_prime) for e, b in zip(ref.block_entries(d), d.blocks)),
         validate=False, copy=False,
     )
 
 
-# -- primal values -----------------------------------------------------------
-
-
-def _phi_block(e: BlockRef, x: np.ndarray) -> float:
-    sc = e.scalar
-    if e.structure is Structure.ANISO:
-        return float(np.sum(sc.h(x)))
-    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
-        return float(sc.h(math.sqrt(float(np.vdot(x, x)))))
-    sigma = full_svd(x).sigma
-    return float(np.sum(sc.h(sigma)))
+# -- primal and conjugate values ---------------------------------------------
 
 
 def phi(ref: ReferenceFn, x: ParamVec) -> float:
     """Value of the reference function; +inf outside its domain."""
     _require_finite(x)
-    return sum(_phi_block(e, b) for e, b in zip(ref.block_entries(x), x.blocks))
-
-
-def _phi_star_block(e: BlockRef, y: np.ndarray) -> float:
-    sc = e.scalar
-    if e.structure is Structure.ANISO:
-        return float(np.sum(sc.h_star(y)))
-    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
-        return float(sc.h_star(math.sqrt(float(np.vdot(y, y)))))
-    sigma = full_svd(y).sigma
-    return float(np.sum(sc.h_star(sigma)))
+    return sum(_lift_sum(e, b, e.scalar.h) for e, b in zip(ref.block_entries(x), x.blocks))
 
 
 def phi_star(ref: ReferenceFn, y: ParamVec) -> float:
     """Convex conjugate of phi; finite, nonnegative, even, zero at zero."""
     _require_finite(y)
-    return sum(_phi_star_block(e, b) for e, b in zip(ref.block_entries(y), y.blocks))
+    return sum(_lift_sum(e, b, e.scalar.h_star) for e, b in zip(ref.block_entries(y), y.blocks))
 
 
 # -- primal gradient ---------------------------------------------------------
 
 
-def _grad_phi_block(e: BlockRef, x: np.ndarray) -> np.ndarray:
-    sc = e.scalar
-    limit = 1.0 - BOUNDARY_MARGIN
-    if e.structure is Structure.ANISO:
-        if np.abs(x).max() > limit:
-            raise BoundaryError("coordinate too close to the domain boundary")
-        return sc.h_prime(x)
-    if e.structure is Structure.ISO or e.structure is Structure.SPECTRAL_ISO:
-        nx = math.sqrt(float(np.vdot(x, x)))
-        if nx > limit:
-            raise BoundaryError("norm too close to the domain boundary")
-        if nx == 0.0:
-            return np.zeros_like(x)
-        return (sc.h_prime(nx) / nx) * x
-    res = full_svd(x)
-    if res.sigma.size and res.sigma[0] > limit:
-        raise BoundaryError("singular value too close to the domain boundary")
-    q = res.sigma.size
-    vals = sc.h_prime(res.sigma)
-    return (res.U[:, :q] * vals) @ res.V[:, :q].T
+def _h_prime_inside(e: BlockRef, t):
+    a = float(np.max(np.abs(t)))
+    if a > 1.0 - BOUNDARY_MARGIN:
+        raise BoundaryError(f"{e.structure.value} argument {a!r} too close to the domain boundary")
+    return e.scalar.h_prime(t)
 
 
 def grad_phi(ref: ReferenceFn, x: ParamVec) -> ParamVec:
-    """Gradient of phi, the inverse map of :func:`precondition`.
+    """Gradient of phi, the inverse map of :func:`precondition`: :func:`lift` of ``h'``.
 
-    Requires the input strictly inside the domain with margin 1e-12;
-    otherwise raises :class:`BoundaryError`.
+    Requires every lifted argument (coordinate, norm or singular value)
+    strictly inside the domain with margin 1e-12; otherwise raises
+    :class:`BoundaryError`.
     """
     _require_finite(x)
-    ents = ref.block_entries(x)
     return ParamVec(
-        (_grad_phi_block(e, b) for e, b in zip(ents, x.blocks)),
+        (lift(e, b, lambda t: _h_prime_inside(e, t))
+         for e, b in zip(ref.block_entries(x), x.blocks)),
         validate=False, copy=False,
     )
 

@@ -184,22 +184,19 @@ class SvdResult:
 
     ``U`` is m-by-m orthogonal, ``V`` is n-by-n orthogonal and ``sigma`` holds
     the ``min(m, n)`` singular values in nonincreasing order.  Columns for zero
-    singular values are retained; :meth:`reduced` drops them.
+    singular values are retained.
     """
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        q = self.sigma.size
-        return (self.U[:, :q] * self.sigma) @ self.V[:, :q].T
-
-    def reduced(self, rel_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drop singular triplets with ``sigma_i <= rel_tol * sigma_max``."""
-        smax = float(self.sigma[0]) if self.sigma.size else 0.0
-        keep = self.sigma > rel_tol * smax
-        return self.U[:, : self.sigma.size][:, keep], self.sigma[keep], self.V[:, : self.sigma.size][:, keep]
+    def reconstruct(self, sigma: np.ndarray | None = None) -> np.ndarray:
+        """``U @ Diag(sigma) @ V.T`` with these singular vectors (default: ``self.sigma``)."""
+        if sigma is None:
+            sigma = self.sigma
+        q = sigma.size
+        return (self.U[:, :q] * sigma) @ self.V[:, :q].T
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,8 +14,9 @@ import numpy as np
 from . import oracle
 from .harness import ExperimentConfig, execute, traces_to_csv
 from .polar import DEFAULT_SCHEDULE, fit_report, load_schedule
-from .prox import HardThreshold, L2Ball, LinfBall, LinfSphere, SignSet, prox_vector
-from .reference import Barrier, BlockRef, HyperKappa, ReferenceFn, Structure, bregman_dual, precondition
+from .prox import HardThreshold, L2Ball, LinfBall, LinfSphere, SignSet, prox_vector, recover_subgradient
+from .reference import (BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure,
+                        bregman_dual, precondition)
 from .tensor import ParamVec, full_svd, norm2, singular_values_batch
 
 
@@ -86,6 +87,27 @@ def check_svd(seed: int = 3) -> tuple[bool, str]:
     return worst <= 1e-10, f"max factor residual {worst:.2e}"
 
 
+def check_subgradient_clamp(seed: int = 6) -> tuple[bool, str]:
+    """recover_subgradient past the domain, against -h'(min(sigma, 1 - 1e-12)) via numpy."""
+    rng = np.random.default_rng(seed)
+    scalar = Barrier(1.0)
+    limit = 1.0 - BOUNDARY_MARGIN
+    worst = 0.0
+    for structure, shape in ((Structure.SPECTRAL_ANISO, (4, 3)), (Structure.ISO, (5,))):
+        z = rng.standard_normal(shape)
+        if structure is Structure.ISO:
+            z *= 1.5 / np.linalg.norm(z)
+            want = (-scalar.h_prime(limit) / np.linalg.norm(z)) * z
+        else:
+            z *= 1.5 / np.linalg.norm(z, 2)
+            u, s, vt = np.linalg.svd(z, full_matrices=False)
+            want = (u * -scalar.h_prime(np.minimum(s, limit))) @ vt
+        ref = ReferenceFn.uniform(structure, scalar)
+        got = recover_subgradient(ParamVec([z]), ParamVec([np.zeros(shape)]), 1.0, ref)[0]
+        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    return worst <= 1e-10, f"max relative deviation {worst:.2e}"
+
+
 def check_majorization(pairs: int = 100, seed: int = 4) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((pairs, 5, 4))
@@ -131,6 +153,7 @@ ALL_CHECKS = (
     ("preconditioner-bounds", check_preconditioner_bounds),
     ("prox-oracles", check_prox_oracles),
     ("svd-factors", check_svd),
+    ("subgradient-clamp", check_subgradient_clamp),
     ("majorization", check_majorization),
     ("polar-fit-ordering", check_polar_fit),
     ("replay-determinism", check_replay_determinism),

@@ -98,6 +98,22 @@ PINNED_TRACE_DIGESTS = {
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="spectral-ball"),
         "789d2a0322ae6c810a2a8e7bf7712fdcf6e8fccbd1b1e2f77763b9de323bf45e"),
+    "spectral-iso-frobenius": (
+        dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-iso",
+             constraint="frobenius-ball"),
+        "8e7e3fa7a66f7e313b4a137c3a2e7a1d6b7861a8b2017be6a0b5d207aa5988c3"),
+    "spectral-aniso-stiefel": (
+        dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
+             constraint="stiefel"),
+        "b9e8ea3e06f23b1ff5a494996f5a82b6d76755390c1b212eb601f2592826b4be"),
+    "hyper-spectral-rank-storm": (
+        dict(problem="matrix-quadratic", m=3, n=5, mode="storm",
+             reference="hyper-spectral-aniso", kappa=3.0, constraint="rank-limit"),
+        "2dac96274c7958e2f57788aba31d06fa3b54718adbdfc64e2ac8c137b219ea26"),
+    "spectral-sphere-deterministic": (
+        dict(problem="matrix-quadratic", m=4, n=3, mode="deterministic", noise="none",
+             gamma=0.1, reference="barrier-spectral-aniso", constraint="spectral-sphere"),
+        "66481265e35992e92b62f57fd56fe52246fe2ae63c8de1cb801bde060635b391"),
 }
 
 

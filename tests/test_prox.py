@@ -343,6 +343,67 @@ def test_feasible_start_values():
     np.testing.assert_allclose(x0[0], [2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (3, 5)], ids=["4x3", "3x5"])
+@pytest.mark.parametrize("tag", [
+    sp.Zero(), sp.Stiefel(1.5), sp.FrobeniusBall(0.5), sp.SpectralBall(0.5),
+    sp.SpectralSphere(1.5), sp.RankLimit(1),
+], ids=lambda tag: type(tag).__name__)
+def test_matrix_feasible_start_is_feasible(tag, shape):
+    spec = sp.ConstraintSpec(tag)
+    if isinstance(tag, sp.Stiefel) and shape[1] > shape[0]:
+        with pytest.raises(sp.InvalidSpecError):
+            spec.validate_for([shape])
+        return
+    spec.validate_for([shape])
+    x0 = sp.feasible_start(spec, [shape])
+    assert x0[0].shape == shape
+    assert sp.feasibility_error(spec, x0) <= 1e-12
+
+
+def test_unsupported_tag_raises_spec_error():
+    for tag, shape in ((sp.L2Ball(1.0), (3, 2)), (sp.Stiefel(1.0), (3,))):
+        spec = sp.ConstraintSpec(tag)
+        with pytest.raises(sp.InvalidSpecError):
+            sp.feasible_start(spec, [shape])
+        with pytest.raises(sp.InvalidSpecError):
+            sp.feasibility_error(spec, sp.ParamVec([np.ones(shape)]))
+
+
+def _minus_h_prime_clamped(scalar, structure, z):
+    """-grad h at z with its lifted argument clamped to 1 - 1e-12, via numpy.linalg.svd."""
+    limit = 1.0 - 1e-12
+    if structure is sp.Structure.SPECTRAL_ANISO:
+        u, s, vt = np.linalg.svd(z, full_matrices=False)
+        return (u * -scalar.h_prime(np.minimum(s, limit))) @ vt
+    nz = np.linalg.norm(z)  # radial form: the Euclidean or Frobenius norm
+    return (-scalar.h_prime(min(nz, limit)) / nz) * z
+
+
+@pytest.mark.parametrize("scalar", [sp.Barrier(1.0), sp.HyperKappa(0.5, 3.0)],
+                         ids=["barrier", "hyper3"])
+@pytest.mark.parametrize("structure, shape", [
+    (sp.Structure.ISO, (5,)),
+    (sp.Structure.SPECTRAL_ISO, (4, 3)),
+    (sp.Structure.SPECTRAL_ISO, (3, 5)),
+    (sp.Structure.SPECTRAL_ANISO, (4, 3)),
+    (sp.Structure.SPECTRAL_ANISO, (3, 5)),
+], ids=["iso-5", "spectral-iso-4x3", "spectral-iso-3x5", "spectral-aniso-4x3",
+        "spectral-aniso-3x5"])
+def test_recover_subgradient_clamps_lifted_argument(structure, shape, scalar, rng):
+    # |z| (or sigma_max(z)) from 0.3 to 3: inside the domain, on its boundary
+    # and past it, where the clamp acts.
+    ref = sp.ReferenceFn.uniform(structure, scalar)
+    gamma = 0.7
+    for size in np.linspace(0.3, 3.0, 28):
+        z = rng.standard_normal(shape)
+        top = np.linalg.norm(z, 2) if structure is sp.Structure.SPECTRAL_ANISO else np.linalg.norm(z)
+        y = sp.ParamVec([rng.standard_normal(shape)])
+        x_next = y + sp.ParamVec([(gamma * size / top) * z])
+        sub = sp.recover_subgradient(x_next, y, gamma, ref)[0]
+        want = _minus_h_prime_clamped(scalar, structure, (x_next[0] - y[0]) * (1.0 / gamma))
+        assert np.linalg.norm(sub - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_gamma_validation():
     with pytest.raises(sp.InvalidInputError):
         sp.prox_vector(sp.LinfBall(1.0), ANISO, np.zeros(2), 0.0)
