@@ -58,7 +58,6 @@ from .problems import (
     make_logistic,
     make_matrix_quadratic,
     make_quadratic,
-    sample_gradient,
 )
 from .prox import (
     ConstraintSpec,
@@ -93,19 +92,16 @@ from .reference import (
     precondition,
 )
 from .stationarity import (
-    GapReport,
     aniso_moreau_env,
     certify_aniso_constant,
     check_aniso_descent,
     gap_bregman,
-    gap_report,
     regularized_gap,
 )
 from .tensor import (
     ParamVec,
     SvdResult,
     axpy,
-    blockwise_frobenius,
     dot,
     full_svd,
     norm2,

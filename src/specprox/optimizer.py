@@ -23,7 +23,7 @@ from typing import ClassVar, Optional
 
 from .direction import DirectionState, initial_state, polyak_update, schedule, storm_update
 from .errors import InvalidConfigError, NumericalError
-from .prox import ConstraintSpec, Zero, feasibility_error, prox, recover_subgradient
+from .prox import ConstraintSpec, Zero, backward_step, feasibility_error, recover_subgradient
 from .problems import GradientOracle, NoiseModel
 from .reference import ReferenceFn, precondition
 from .stationarity import FEASIBILITY_TOL, gap_bregman, regularized_gap
@@ -140,12 +140,12 @@ class Trace:
 
 def step(x: ParamVec, d: ParamVec, gamma: float, ref: ReferenceFn,
          spec: ConstraintSpec) -> tuple[ParamVec, ParamVec, ParamVec]:
-    """One forward-backward step; returns (x_next, y, recovered subgradient)."""
+    """One forward-backward step: (x_next, y, subgradient, spectral-aniso blocks factored)."""
     if gamma <= 0.0:
         raise InvalidConfigError("gamma must be positive")
     y = x - gamma * precondition(ref, d)
-    x_next = prox(spec, ref, y, gamma)
-    subgrad = recover_subgradient(x_next, y, gamma, ref)
+    x_next, z = backward_step(spec, ref, y, gamma)
+    subgrad = recover_subgradient(x_next, y, gamma, ref, z=z)
     _check_step_bound(x, x_next, gamma, ref)
     return x_next, y, subgrad
 

@@ -242,9 +242,3 @@ class GradientOracle:
 
     def sample(self, x: ParamVec, token: int) -> ParamVec:
         return self.perturb(self.problem.grad_f(x), token)
-
-
-def sample_gradient(problem, x: ParamVec, noise: NoiseModel, sample_token: int,
-                    seed: int = 0) -> ParamVec:
-    """One-shot oracle call; see :class:`GradientOracle`."""
-    return GradientOracle(problem, noise, seed).sample(x, sample_token)

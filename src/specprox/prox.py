@@ -8,11 +8,12 @@ to the Euclidean projection.
 
 A matrix set is the vector set its singular values lie in (Stiefel -> sign
 set, Frobenius ball -> l2 ball, spectral ball and sphere -> l-inf ball and
-sphere, rank limit -> hard threshold).  The matrix backward step, the
-feasibility measure and the start point run the vector code on sigma; the
-backward step reassembles with the singular vectors of the input.
-:func:`recover_subgradient` is one :func:`~specprox.reference.lift` of the
-clamped ``-h'``, so each block is measured and factored once.
+sphere, rank limit -> hard threshold).  The backward step, the feasibility
+measure and the start point run the vector code on sigma.  The step works in
+one basis: it returns ``U diag(p) V^T`` with the singular vectors of ``y`` and
+hands on the spectral-aniso move ``(x_next - y)/gamma`` in that basis, so
+:func:`recover_subgradient`, one :func:`~specprox.reference.lift` of the
+clamped ``-h'``, and the gap factor nothing.
 
 Tie-breaking is deterministic everywhere: ``sign(0) = +1``, and magnitude ties
 are resolved toward the lowest index.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, NumericalError
 from .reference import BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure, lift
-from .tensor import ParamVec, full_svd
+from .tensor import ParamVec, SvdResult, full_svd, singular_values_batch
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,17 @@ def _euclidean_projection(tag, y: np.ndarray) -> np.ndarray:
     raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
 
 
+def _checked(y, ndim: int, name: str, gamma: float) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.ndim != ndim:
+        raise InvalidInputError(f"{name} expects a {ndim}-d block")
+    if not np.isfinite(y).all():
+        raise InvalidInputError(f"{name}: non-finite input")
+    if gamma <= 0.0:
+        raise InvalidInputError("gamma must be positive")
+    return y
+
+
 def prox_vector(tag, ref, y, gamma: float) -> np.ndarray:
     """Backward step on a vector block.
 
@@ -348,13 +360,7 @@ def prox_vector(tag, ref, y, gamma: float) -> np.ndarray:
     reference every closed set reduces to the Euclidean projection; with an
     ANISO reference the closed forms and the l2-ball bisection apply.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InvalidInputError("prox_vector expects a 1-d block")
-    if not np.isfinite(y).all():
-        raise InvalidInputError("prox_vector: non-finite input")
-    if gamma <= 0.0:
-        raise InvalidInputError("gamma must be positive")
+    y = _checked(y, 1, "prox_vector", gamma)
     e = _as_entry(ref)
     _validate_tag(tag, y.shape)
     if e.structure is Structure.ISO:
@@ -368,40 +374,50 @@ def prox_vector(tag, ref, y, gamma: float) -> np.ndarray:
     return _euclidean_projection(tag, y)
 
 
+def _matrix_step(tag, ref, Y, gamma: float):
+    """:func:`prox_matrix`, with the spectral-aniso move ``(X - Y)/gamma`` factored (else None)."""
+    Y = _checked(Y, 2, "prox_matrix", gamma)
+    e = _as_entry(ref)
+    if not e.structure.is_spectral:
+        raise InvalidSpecError("prox_matrix needs a spectral reference")
+    _validate_tag(tag, Y.shape)
+    aniso = e.structure is Structure.SPECTRAL_ANISO
+    if isinstance(tag, Zero):  # z = 0, so any basis will do
+        m, n = Y.shape
+        return Y.copy(), SvdResult(np.eye(m), np.zeros(min(m, n)), np.eye(n)) if aniso else None
+    res = full_svd(Y)
+    vec_structure = Structure.ANISO if aniso else Structure.ISO
+    p = prox_vector(_sigma_tag(tag), BlockRef(vec_structure, e.scalar), res.sigma, gamma)
+    z = SvdResult(res.U, (p - res.sigma) * (1.0 / gamma), res.V) if aniso else None
+    return res.reconstruct(p), z
+
+
 def prox_matrix(tag, ref, Y, gamma: float) -> np.ndarray:
     """Backward step on a matrix block via reduction to the singular values.
 
     Computes a full SVD of ``Y``, applies the corresponding vector backward
     step to ``sigma(Y)``, and reassembles with the same singular vectors.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise InvalidInputError("prox_matrix expects a 2-d block")
-    if not np.isfinite(Y).all():
-        raise InvalidInputError("prox_matrix: non-finite input")
-    if gamma <= 0.0:
-        raise InvalidInputError("gamma must be positive")
-    e = _as_entry(ref)
-    if not e.structure.is_spectral:
-        raise InvalidSpecError("prox_matrix needs a spectral reference")
-    _validate_tag(tag, Y.shape)
-    if isinstance(tag, Zero):
-        return Y.copy()
-    res = full_svd(Y)
-    vec_structure = Structure.ANISO if e.structure is Structure.SPECTRAL_ANISO else Structure.ISO
-    x_star = prox_vector(_sigma_tag(tag), BlockRef(vec_structure, e.scalar), res.sigma, gamma)
-    return res.reconstruct(x_star)
+    return _matrix_step(tag, ref, Y, gamma)[0]
+
+
+def backward_step(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec,
+                  gamma: float) -> tuple[ParamVec, ParamVec]:
+    """Blockwise ``(x_next, (x_next - y)/gamma)``; spectral-aniso moves come factored."""
+    xs, zs = [], []
+    for tag, e, b in zip(spec.block_tags(y), ref.block_entries(y), y.blocks):
+        if b.ndim == 2:
+            x, z = _matrix_step(tag, e, b, gamma)
+        else:
+            x, z = prox_vector(tag, e, b, gamma), None
+        xs.append(x)
+        zs.append((x - b) * (1.0 / gamma) if z is None else z)
+    return ParamVec(xs, validate=False, copy=False), ParamVec(zs, validate=False, copy=False)
 
 
 def prox(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec, gamma: float) -> ParamVec:
     """Blockwise backward step over the whole product space."""
-    tags = spec.block_tags(y)
-    ents = ref.block_entries(y)
-    return ParamVec(
-        ((prox_vector if b.ndim == 1 else prox_matrix)(tag, e, b, gamma)
-         for tag, e, b in zip(tags, ents, y.blocks)),
-        validate=False, copy=False,
-    )
+    return backward_step(spec, ref, y, gamma)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +425,8 @@ def prox(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec, gamma: float) -> P
 # ---------------------------------------------------------------------------
 
 
-def recover_subgradient(x_next: ParamVec, y: ParamVec, gamma: float, ref: ReferenceFn) -> ParamVec:
+def recover_subgradient(x_next: ParamVec, y: ParamVec, gamma: float, ref: ReferenceFn,
+                        z: ParamVec | None = None) -> ParamVec:
     """The subgradient of g certified by the backward step.
 
     Returns ``-grad_phi((x_next - y)/gamma)``, the specific element of the
@@ -417,9 +434,11 @@ def recover_subgradient(x_next: ParamVec, y: ParamVec, gamma: float, ref: Refere
     backward step produces: the :func:`~specprox.reference.lift` of
     ``t -> -h'(clip(t, -(1 - 1e-12), 1 - 1e-12))``, so each coordinate, norm
     or singular value is clamped into the domain with margin 1e-12 before
-    differentiating.
+    differentiating.  ``z``, the move from :func:`backward_step`, replaces
+    ``(x_next - y)/gamma``; its factored blocks stay factored.
     """
-    z = (x_next - y) * (1.0 / gamma)
+    if z is None:
+        z = (x_next - y) * (1.0 / gamma)
     limit = 1.0 - BOUNDARY_MARGIN
     return ParamVec(
         (lift(e, b, lambda t: -e.scalar.h_prime(np.clip(t, -limit, limit)))
@@ -432,7 +451,7 @@ def _feasibility_block(tag, x: np.ndarray) -> float:
     if isinstance(tag, Zero):
         return 0.0
     if x.ndim == 2:
-        tag, x = _sigma_tag(tag), full_svd(x).sigma
+        tag, x = _sigma_tag(tag), singular_values_batch(x[None])[0]
     if isinstance(tag, SignSet):
         return float(np.abs(np.abs(x) - tag.radius).max())
     if isinstance(tag, L2Ball):

@@ -26,7 +26,8 @@ function ``F(X) = f(sigma(X))`` has the gradient ``U diag(f'(sigma)) V^T``
 J. Convex Anal. 1995), so a spectral block is a vector block on its singular
 values.  :func:`precondition` and :func:`grad_phi` are lifts of ``h*'`` and
 ``h'``; :func:`phi` and :func:`phi_star` sum ``h`` and ``h*`` over the same
-lifted arguments.
+lifted arguments (sigma only).  A block factored in the backward step's basis
+(an :class:`~specprox.tensor.SvdResult`) is lifted without factoring.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import BoundaryError, InvalidConfigError, InvalidInputError
-from .tensor import ParamVec, dot, full_svd
+from .tensor import ParamVec, SvdResult, dense, dot, full_svd, singular_values_batch
 
 BOUNDARY_MARGIN = 1e-12
 
@@ -318,7 +319,7 @@ class ReferenceFn:
 
 def _require_finite(x: ParamVec) -> None:
     for b in x.blocks:
-        if not np.isfinite(b).all():
+        if not np.isfinite(b.sigma if isinstance(b, SvdResult) else b).all():
             raise InvalidInputError("non-finite entries")
 
 
@@ -332,11 +333,14 @@ def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
     (ISO and SPECTRAL_ISO), or on the singular values with the singular
     vectors kept (SPECTRAL_ANISO).  This is the gradient rule for every lifted
     function: the gradient of ``F(X) = sum_i h(sigma_i(X))`` is
-    ``U diag(h'(sigma)) V^T``.
+    ``U diag(h'(sigma)) V^T``.  A factored block ``(U, s, V)`` gives
+    ``(U, f(s), V)`` (``f`` odd).
     """
     if e.structure is Structure.ANISO:
         return f(x)
     if e.structure is Structure.SPECTRAL_ANISO:
+        if isinstance(x, SvdResult):
+            return SvdResult(x.U, f(x.sigma), x.V)
         res = full_svd(x)
         return res.reconstruct(f(res.sigma))
     nx = math.sqrt(float(np.vdot(x, x)))
@@ -346,11 +350,12 @@ def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
 
 
 def _lift_sum(e: BlockRef, x: np.ndarray, f) -> float:
-    """Value of the lifted function: ``f`` summed over the arguments :func:`lift` uses."""
+    """Value of the lifted function: ``f`` (even) summed over the arguments :func:`lift` uses."""
     if e.structure is Structure.ANISO:
         return float(np.sum(f(x)))
     if e.structure is Structure.SPECTRAL_ANISO:
-        return float(np.sum(f(full_svd(x).sigma)))
+        sigma = x.sigma if isinstance(x, SvdResult) else singular_values_batch(x[None])[0]
+        return float(np.sum(f(sigma)))
     return float(f(math.sqrt(float(np.vdot(x, x)))))
 
 
@@ -413,7 +418,8 @@ def grad_phi(ref: ReferenceFn, x: ParamVec) -> ParamVec:
 def bregman_dual(ref: ReferenceFn, a: ParamVec, b: ParamVec) -> float:
     """Bregman divergence of the conjugate: D_{phi*}(a, b).
 
-    Nonnegative and zero exactly at a = b, by strict convexity of phi*.
+    Nonnegative and zero exactly at a = b, by strict convexity of phi*.  ``b``
+    may hold factored blocks.
     """
-    diff = a - b
-    return phi_star(ref, a) - phi_star(ref, b) - dot(precondition(ref, b), diff)
+    diff = a - dense(b)
+    return phi_star(ref, a) - phi_star(ref, b) - dot(dense(precondition(ref, b)), diff)

@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .prox import ConstraintSpec, feasibility_error, prox
+from .prox import ConstraintSpec, backward_step, feasibility_error
 from .reference import ReferenceFn, Structure, bregman_dual, phi, precondition
-from .tensor import ParamVec, full_svd
+from .tensor import ParamVec, singular_values_batch
 
 FEASIBILITY_TOL = 1e-9
 
@@ -34,9 +34,8 @@ def aniso_moreau_env(spec: ConstraintSpec, ref: ReferenceFn, gamma: float, y: Pa
     Evaluated at the backward-step minimizer; +inf when y is out of reach of
     the constraint set within the scaled domain of phi.
     """
-    x_plus = prox(spec, ref, y, gamma)
-    val = gamma * phi(ref, (x_plus - y) * (1.0 / gamma))
-    return val  # g(x_plus) = 0 for indicator constraints by construction
+    # g = 0 at the backward step's point, which the indicator's set contains.
+    return gamma * phi(ref, backward_step(spec, ref, y, gamma)[1])
 
 
 def regularized_gap(spec: ConstraintSpec, ref: ReferenceFn, gamma: float,
@@ -51,24 +50,6 @@ def regularized_gap(spec: ConstraintSpec, ref: ReferenceFn, gamma: float,
     w = precondition(ref, grad_f)
     y = x - gamma * w
     return phi(ref, w) - aniso_moreau_env(spec, ref, gamma, y) / gamma
-
-
-@dataclass(frozen=True)
-class GapReport:
-    gap_bregman: float
-    reg_gap: Optional[float]
-    envelope_value: float
-
-
-def gap_report(spec: ConstraintSpec, ref: ReferenceFn, gamma: float, x: ParamVec,
-               grad_f: ParamVec, subgrad_g: ParamVec) -> GapReport:
-    w = precondition(ref, grad_f)
-    env = aniso_moreau_env(spec, ref, gamma, x - gamma * w)
-    return GapReport(
-        gap_bregman=gap_bregman(ref, grad_f, subgrad_g),
-        reg_gap=phi(ref, w) - env / gamma,
-        envelope_value=env,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +67,15 @@ def sample_interior_point(ref: ReferenceFn, shapes, rng: np.random.Generator,
         cap = 1.0 - margin
         if e.structure is Structure.ANISO:
             blocks.append(rng.uniform(-cap, cap, size=shape))
-        elif e.structure is Structure.ISO:
-            v = rng.standard_normal(shape)
-            nv = math.sqrt(float(v @ v))
-            blocks.append((cap * rng.uniform() / max(nv, 1e-300)) * v)
         else:
+            # A random direction, scaled to a uniform fraction of the domain
+            # radius in the block's own norm: sigma_max, or the 2-norm.
             g = rng.standard_normal(shape)
-            smax = float(full_svd(g).sigma[0])
             if e.structure is Structure.SPECTRAL_ANISO:
-                blocks.append((cap * rng.uniform() / max(smax, 1e-300)) * g)
+                size = float(singular_values_batch(g[None])[0, 0])
             else:
-                nf = math.sqrt(float(np.vdot(g, g)))
-                blocks.append((cap * rng.uniform() / max(nf, 1e-300)) * g)
+                size = math.sqrt(float(np.vdot(g, g)))
+            blocks.append((cap * rng.uniform() / max(size, 1e-300)) * g)
     return ParamVec(blocks, validate=False, copy=False)
 
 

@@ -8,9 +8,9 @@ matching shapes.
 ``full_svd`` and ``singular_values_batch`` share one one-sided Jacobi kernel.
 It is deliberately self-contained: the exact power-of-two prescale (which
 keeps it right at every finite float64 scale), the round-robin pair order, the
-convergence threshold, the orthonormal completion and the sign convention are
-all fixed, so a given input always produces bit-identical factors, which is
-what makes traces replayable.
+threshold ``big * eps``, the orthonormal completion and the sign convention
+are all fixed, so a given input always produces bit-identical factors, which
+is what makes traces replayable.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import ConformabilityError, InvalidInputError, NumericalError
 
-# Relative off-diagonal Gram threshold for Jacobi convergence, and an absolute
-# floor (on the prescaled matrix) below which no rotation acts on the data.
-_JACOBI_REL_TOL = 1e-12
+# Absolute floor on an off-diagonal Gram entry of the prescaled matrix, below
+# which no rotation acts on the data.
 _GRAM_FLOOR = 2.0 ** -511
 _MAX_SWEEPS = 60
 _ROTATION_SIGNS = np.array([-1.0, 1.0])[:, None, None]  # p <- c (p - t q), q <- c (q + t p)
@@ -87,11 +86,6 @@ class ParamVec:
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.shape for b in self.blocks)
-
-    @property
-    def dim(self) -> int:
-        """Total number of scalar entries across blocks."""
-        return sum(b.size for b in self.blocks)
 
     def copy(self) -> "ParamVec":
         return ParamVec(self.blocks, validate=False, copy=True)
@@ -160,19 +154,6 @@ def norm2(x: ParamVec) -> float:
     return math.sqrt(sum(float(np.vdot(b, b)) for b in x.blocks))
 
 
-def blockwise_frobenius(x: ParamVec) -> list[float]:
-    """Per-block Euclidean/Frobenius norms."""
-    return [math.sqrt(float(np.vdot(b, b))) for b in x.blocks]
-
-
-def allclose(x: ParamVec, y: ParamVec, atol: float = 0.0, rtol: float = 1e-12) -> bool:
-    if not x.conformable(y):
-        return False
-    return all(
-        np.allclose(a, b, atol=atol, rtol=rtol) for a, b in zip(x.blocks, y.blocks)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Singular value decomposition
 # ---------------------------------------------------------------------------
@@ -180,11 +161,11 @@ def allclose(x: ParamVec, y: ParamVec, atol: float = 0.0, rtol: float = 1e-12) -
 
 @dataclass(frozen=True, eq=False)
 class SvdResult:
-    """Full SVD ``M = U @ Diag(sigma) @ V.T``.
+    """Full SVD ``M = U @ Diag(sigma) @ V.T``, or a block factored in such a basis.
 
     ``U`` is m-by-m orthogonal, ``V`` is n-by-n orthogonal and ``sigma`` holds
-    the ``min(m, n)`` singular values in nonincreasing order.  Columns for zero
-    singular values are retained.
+    the ``min(m, n)`` singular values in nonincreasing order (in a factored
+    block, a signed, unsorted diagonal).  Columns for zero sigma are retained.
     """
 
     U: np.ndarray
@@ -197,6 +178,15 @@ class SvdResult:
             sigma = self.sigma
         q = sigma.size
         return (self.U[:, :q] * sigma) @ self.V[:, :q].T
+
+    def __rmul__(self, a: float) -> "SvdResult":
+        return SvdResult(self.U, a * self.sigma, self.V)
+
+
+def dense(x: ParamVec) -> ParamVec:
+    """``x`` with every factored block (an :class:`SvdResult`) reassembled."""
+    return ParamVec((b.reconstruct() if isinstance(b, SvdResult) else b for b in x.blocks),
+                    validate=False, copy=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,12 +211,14 @@ def _jacobi(B: np.ndarray, V: np.ndarray | None = None) -> tuple[np.ndarray, np.
     ``B[i]`` is first scaled by the power of two ``2**-e[i]`` that puts its
     largest entry in [0.5, 1), which is exact and keeps the Gram entries from
     under- or overflowing.  A pair is left alone once ``|apq|`` is at most
-    ``tol * sqrt(app) * sqrt(aqq)`` or ``_GRAM_FLOOR`` (the floor moves no sigma
+    ``big * eps * sqrt(app) * sqrt(aqq)`` (the rounding of such a dot product)
+    or ``_GRAM_FLOOR`` (the floor moves no sigma
     by more than ``sqrt(small) * 2**-254 * sigma_max``).  In place, ``B`` becomes
     ``U Sigma 2**-e`` and the optional (N, small, small) ``V`` accumulates the
     right rotations.  Returns the column norms of ``B`` (unsorted) and ``e``.
     """
     N, big, small = B.shape
+    tol = big * np.finfo(float).eps
     _, e = np.frexp(np.abs(B).max(axis=(1, 2), initial=0.0))
     # W[r, j, i] is entry r of column j of B[i] (then of V[i]).  The stack
     # index is innermost, so each numpy call below spans the whole stack, and
@@ -244,7 +236,7 @@ def _jacobi(B: np.ndarray, V: np.ndarray | None = None) -> tuple[np.ndarray, np.
             gram = np.add.reduce(G[:, :, None] * G[:, None], axis=0)  # [[app, apq], [apq, aqq]]
             apq = gram[0, 1]
             mask = np.abs(apq) > np.maximum(
-                _JACOBI_REL_TOL * (np.sqrt(gram[0, 0]) * np.sqrt(gram[1, 1])), _GRAM_FLOOR)
+                tol * (np.sqrt(gram[0, 0]) * np.sqrt(gram[1, 1])), _GRAM_FLOOR)
             if not np.count_nonzero(mask):
                 continue
             rotated = True
@@ -277,32 +269,26 @@ def _complete_orthonormal(cols: np.ndarray, sigma: np.ndarray, m: int) -> np.nda
     on ties).
     """
     n = cols.shape[1]
-    smax = float(sigma[0]) if n else 0.0
-    tiny = smax * 1e-13 * max(m, n)
+    kept = sigma > sigma[0] * 1e-13 * max(m, n)
+    filled = np.flatnonzero(kept).tolist()
     U = np.zeros((m, m))
-    filled: list[int] = []
-    pending: list[int] = []
-    for j in range(n):
-        if sigma[j] > tiny and sigma[j] > 0.0:
-            U[:, j] = cols[:, j] / sigma[j]
-            filled.append(j)
-        else:
-            pending.append(j)
-    pending.extend(range(n, m))
-    for slot in pending:
-        basis = np.eye(m)
-        for j in filled:
-            basis -= np.outer(U[:, j], U[:, j] @ basis)
+    U[:, filled] = cols[:, filled] / sigma[filled]
+    # One projector I - U_f U_f^T per call, less u u^T for each slot it fills.
+    F = U[:, filled]
+    basis = np.eye(m) - F @ F.T
+    for slot in np.flatnonzero(~kept).tolist() + list(range(n, m)):
         residuals = np.sqrt((basis * basis).sum(axis=0))
         pick = int(np.argmax(residuals))
         v = basis[:, pick]
         # One more orthogonalization pass for stability.
-        for j in filled:
-            v = v - (U[:, j] @ v) * U[:, j]
+        F = U[:, filled]
+        v = v - F @ (F.T @ v)
         nv = math.sqrt(float(v @ v))
         if nv <= 1e-8:
             raise NumericalError("orthonormal completion failed")
-        U[:, slot] = v / nv
+        u = v / nv
+        U[:, slot] = u
+        basis -= np.outer(u, u)
         filled.append(slot)
     return U
 

@@ -12,11 +12,15 @@ import math
 import numpy as np
 
 from . import oracle
-from .harness import ExperimentConfig, execute, traces_to_csv
+from .harness import (ExperimentConfig, build_constraint, build_reference, execute,
+                      traces_to_csv)
+from .optimizer import step
 from .polar import DEFAULT_SCHEDULE, fit_report, load_schedule
-from .prox import HardThreshold, L2Ball, LinfBall, LinfSphere, SignSet, prox_vector, recover_subgradient
+from .prox import (HardThreshold, L2Ball, LinfBall, LinfSphere, SignSet, feasible_start,
+                   prox_vector, recover_subgradient)
 from .reference import (BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure,
                         bregman_dual, precondition)
+from .stationarity import gap_bregman
 from .tensor import ParamVec, full_svd, norm2, singular_values_batch
 
 
@@ -108,6 +112,21 @@ def check_subgradient_clamp(seed: int = 6) -> tuple[bool, str]:
     return worst <= 1e-10, f"max relative deviation {worst:.2e}"
 
 
+def check_spectral_step(seed: int = 7) -> tuple[bool, str]:
+    """Gap of one spectral-aniso step per matrix set: factored route against the dense one."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name in ("zero", "stiefel", "frobenius-ball", "spectral-ball", "spectral-sphere",
+                 "rank-limit"):
+        cfg = ExperimentConfig(reference="barrier-spectral-aniso", constraint=name, radius=0.5)
+        ref, spec = build_reference(cfg), build_constraint(cfg)
+        d, g = (ParamVec([rng.standard_normal((4, 3))]) for _ in range(2))
+        x_next, y, sub = step(feasible_start(spec, [(4, 3)]), d, 0.4, ref, spec)
+        want = gap_bregman(ref, g, recover_subgradient(x_next, y, 0.4, ref))
+        worst = max(worst, abs(gap_bregman(ref, g, sub) - want) / abs(want))
+    return worst <= 1e-10, f"max relative gap deviation {worst:.2e}"
+
+
 def check_majorization(pairs: int = 100, seed: int = 4) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((pairs, 5, 4))
@@ -154,6 +173,7 @@ ALL_CHECKS = (
     ("prox-oracles", check_prox_oracles),
     ("svd-factors", check_svd),
     ("subgradient-clamp", check_subgradient_clamp),
+    ("spectral-step", check_spectral_step),
     ("majorization", check_majorization),
     ("polar-fit-ordering", check_polar_fit),
     ("replay-determinism", check_replay_determinism),

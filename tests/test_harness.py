@@ -97,23 +97,23 @@ PINNED_TRACE_DIGESTS = {
     "spectral-polyak": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="spectral-ball"),
-        "789d2a0322ae6c810a2a8e7bf7712fdcf6e8fccbd1b1e2f77763b9de323bf45e"),
+        "fbfb4283b55b5d93005696e24663917e5825a6068edc290de21af6e5ab5acfb9"),
     "spectral-iso-frobenius": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-iso",
              constraint="frobenius-ball"),
-        "8e7e3fa7a66f7e313b4a137c3a2e7a1d6b7861a8b2017be6a0b5d207aa5988c3"),
+        "3eb85303da97397206da2901fe0d96c5862e6bb5c07b6f3ec69eceb0e87453d8"),
     "spectral-aniso-stiefel": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="stiefel"),
-        "b9e8ea3e06f23b1ff5a494996f5a82b6d76755390c1b212eb601f2592826b4be"),
+        "c7171f6414e0d44e0db9d2f0f5b3885f7a1910c5193d507964ec12fc7a245c69"),
     "hyper-spectral-rank-storm": (
         dict(problem="matrix-quadratic", m=3, n=5, mode="storm",
              reference="hyper-spectral-aniso", kappa=3.0, constraint="rank-limit"),
-        "2dac96274c7958e2f57788aba31d06fa3b54718adbdfc64e2ac8c137b219ea26"),
+        "69b3d5bf2e80859a645f84877badee50f77a4c37ff53640973b7ed5aac796bf5"),
     "spectral-sphere-deterministic": (
         dict(problem="matrix-quadratic", m=4, n=3, mode="deterministic", noise="none",
              gamma=0.1, reference="barrier-spectral-aniso", constraint="spectral-sphere"),
-        "66481265e35992e92b62f57fd56fe52246fe2ae63c8de1cb801bde060635b391"),
+        "48d7d618b0a47654263e424f7292a90d65e5eddf7e502da4c555fb2104647e33"),
 }
 
 

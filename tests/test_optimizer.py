@@ -254,3 +254,34 @@ def test_spectral_run_on_matrix_problem(rng):
     for x in tr.iterates[1:]:
         assert sp.feasibility_error(spec, x) <= 1e-9
     assert all(math.isfinite(r.gap_bregman) for r in tr.records)
+
+
+def test_spectral_iteration_factors_two_full_and_two_sigma_only(rng, monkeypatch):
+    # Per iteration: full SVDs of d (forward step) and y (backward step), and
+    # sigma-only factorizations of g_next (phi_star in the gap) and x_next
+    # (feasibility).  z, the subgradient and the rest of the gap reuse y's basis.
+    from specprox import tensor
+
+    counts = {"full": 0, "sigma": 0}
+    jacobi = tensor._jacobi
+
+    def counted(B, V=None):
+        counts["sigma" if V is None else "full"] += 1
+        return jacobi(B, V)
+
+    monkeypatch.setattr(tensor, "_jacobi", counted)
+    prob = sp.make_matrix_quadratic(4, 3, rng=rng)
+    ref = sp.ReferenceFn.uniform(sp.Structure.SPECTRAL_ANISO, sp.Barrier(1.0))
+    spec = sp.ConstraintSpec(sp.SpectralBall(1.0))
+
+    def factorizations(K):
+        counts.update(full=0, sigma=0)
+        cfg = sp.RunConfig(ref=ref, spec=spec, mode=sp.StochasticPolyak(K=K), seed=2,
+                           x0=sp.feasible_start(spec, prob.shapes))
+        sp.run(cfg, prob, noise=sp.NoiseModel.gaussian(0.5))
+        return dict(counts)
+
+    short, long = factorizations(3), factorizations(11)
+    assert long["full"] - short["full"] <= 2 * 8
+    assert long["sigma"] - short["sigma"] <= 2 * 8
+    assert long["full"] <= 2 * 12 and long["sigma"] <= 2 * 12 + 1  # + the check of x0

@@ -72,7 +72,7 @@ def test_lipschitz_certificate(maker, args, rng):
 def test_noise_none_exact(rng):
     prob = sp.make_quadratic(4, 2.0, rng=rng)
     x = sp.ParamVec([rng.standard_normal(4)])
-    g = sp.sample_gradient(prob, x, sp.NoiseModel.none(), sample_token=3, seed=0)
+    g = sp.GradientOracle(prob, sp.NoiseModel.none(), 0).sample(x, 3)
     assert sp.norm2(g - prob.grad_f(x)) == 0.0
 
 
@@ -89,8 +89,9 @@ def test_same_token_same_noise_structure(rng):
     prob = sp.make_quadratic(4, 2.0, rng=rng)
     x1 = sp.ParamVec([rng.standard_normal(4)])
     x2 = sp.ParamVec([rng.standard_normal(4)])
-    g1 = sp.sample_gradient(prob, x1, noise, sample_token=7, seed=5)
-    g2 = sp.sample_gradient(prob, x2, noise, sample_token=7, seed=5)
+    oracle = sp.GradientOracle(prob, noise, 5)
+    g1 = oracle.sample(x1, 7)
+    g2 = oracle.sample(x2, 7)
     lhs = g1 - g2
     rhs = prob.grad_f(x1) - prob.grad_f(x2)
     assert sp.norm2(lhs - rhs) <= 1e-14
@@ -100,8 +101,9 @@ def test_different_tokens_different_noise(rng):
     prob = sp.make_quadratic(4, 2.0, rng=rng)
     noise = sp.NoiseModel.gaussian(1.0)
     x = sp.ParamVec([rng.standard_normal(4)])
-    g1 = sp.sample_gradient(prob, x, noise, sample_token=1, seed=5)
-    g2 = sp.sample_gradient(prob, x, noise, sample_token=2, seed=5)
+    oracle = sp.GradientOracle(prob, noise, 5)
+    g1 = oracle.sample(x, 1)
+    g2 = oracle.sample(x, 2)
     assert sp.norm2(g1 - g2) > 0.0
 
 
@@ -117,9 +119,10 @@ def test_gaussian_unbiased_mean(rng):
     noise = sp.NoiseModel.gaussian(0.5)
     x = sp.ParamVec([rng.standard_normal(3)])
     n = 100_000
+    oracle = sp.GradientOracle(prob, noise, 9)
     acc = np.zeros(3)
     for tok in range(n):
-        acc += sp.sample_gradient(prob, x, noise, sample_token=tok, seed=9)[0]
+        acc += oracle.sample(x, tok)[0]
     emp = acc / n
     se = 0.5 / math.sqrt(3) / math.sqrt(n)
     np.testing.assert_array_less(np.abs(emp - prob.grad_f(x)[0]), 4 * se + 1e-12)

@@ -404,6 +404,37 @@ def test_recover_subgradient_clamps_lifted_argument(structure, shape, scalar, rn
         assert np.linalg.norm(sub - want) <= 1e-10 * np.linalg.norm(want)
 
 
+MATRIX_STEP_CASES = [(tag, shape) for tag in (
+    sp.Zero(), sp.Stiefel(1.5), sp.FrobeniusBall(0.5), sp.SpectralBall(0.5),
+    sp.SpectralSphere(1.5), sp.RankLimit(1),
+) for shape in ((4, 3), (3, 5)) if not (isinstance(tag, sp.Stiefel) and shape == (3, 5))]
+
+
+@pytest.mark.parametrize("scalar", [sp.Barrier(1.0), sp.HyperKappa(0.5, 3.0)],
+                         ids=["barrier", "hyper3"])
+@pytest.mark.parametrize("tag, shape", MATRIX_STEP_CASES,
+                         ids=[f"{type(t).__name__}-{m}x{n}" for t, (m, n) in MATRIX_STEP_CASES])
+def test_factored_step_matches_dense_route(tag, shape, scalar, rng):
+    # The step lifts its subgradient from z in y's basis; the dense route
+    # factors z = (x_next - y)/gamma afresh.  Both give the same subgradient
+    # and the same gap.  Where y lies inside the set the factored z is exactly
+    # 0 and the dense one is rounding, so the subgradient is compared relative
+    # to at least eps, the scale of h'(t) = eps*t + O(t^2).
+    ref = sp.ReferenceFn.uniform(sp.Structure.SPECTRAL_ANISO, scalar)
+    spec = sp.ConstraintSpec(tag)
+    x = sp.feasible_start(spec, [shape])
+    for _ in range(10):
+        d = sp.ParamVec([rng.standard_normal(shape)])
+        x_next, y, sub = sp.step(x, d, 0.4, ref, spec)
+        assert isinstance(sub[0], sp.SvdResult)
+        want = sp.recover_subgradient(x_next, y, 0.4, ref)
+        scale = max(np.linalg.norm(want[0]), scalar.epsilon)
+        assert np.linalg.norm(sub[0].reconstruct() - want[0]) <= 1e-10 * scale
+        g = sp.ParamVec([rng.standard_normal(shape)])
+        assert sp.gap_bregman(ref, g, sub) == pytest.approx(sp.gap_bregman(ref, g, want), rel=1e-12)
+        x = x_next
+
+
 def test_gamma_validation():
     with pytest.raises(sp.InvalidInputError):
         sp.prox_vector(sp.LinfBall(1.0), ANISO, np.zeros(2), 0.0)

@@ -121,14 +121,14 @@ def test_reg_gap_infeasible_point_rejected():
         sp.regularized_gap(spec, ANISO, 0.5, pv(2.0), pv(0.1))
 
 
-def test_gap_report_bundles_measures(rng):
+def test_gap_measures_at_a_feasible_point():
     spec = sp.ConstraintSpec(sp.LinfBall(1.0))
     x = pv(0.5, -0.5)
     g = pv(1.0, 2.0)
-    rep = sp.gap_report(spec, ANISO, 0.5, x, g, pv(0.0, 0.0))
-    assert rep.gap_bregman >= 0.0
-    assert rep.reg_gap >= -1e-12
-    assert math.isfinite(rep.envelope_value)
+    assert sp.gap_bregman(ANISO, g, pv(0.0, 0.0)) >= 0.0
+    assert sp.regularized_gap(spec, ANISO, 0.5, x, g) >= -1e-12
+    w = sp.precondition(ANISO, g)
+    assert math.isfinite(sp.aniso_moreau_env(spec, ANISO, 0.5, x - 0.5 * w))
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ def test_norm_of_zero():
     assert sp.norm2(sp.zeros([(4,), (2, 3)])) == 0.0
 
 
-def test_blockwise_frobenius(rng):
+def test_norm2_over_blocks(rng):
     b1 = rng.standard_normal(6)
     b2 = rng.standard_normal((4, 2))
     x = sp.ParamVec([b1, b2])
-    norms = sp.blockwise_frobenius(x)
-    assert norms[0] == pytest.approx(np.linalg.norm(b1))
-    assert norms[1] == pytest.approx(np.linalg.norm(b2))
+    assert sp.norm2(sp.ParamVec([b1])) == pytest.approx(np.linalg.norm(b1))
+    assert sp.norm2(sp.ParamVec([b2])) == pytest.approx(np.linalg.norm(b2))
+    assert sp.norm2(x) == pytest.approx(np.hypot(np.linalg.norm(b1), np.linalg.norm(b2)))
 
 
 def test_conformability_error():
@@ -105,8 +105,8 @@ def test_svd_factor_invariants(shape, rng):
     assert res.U.shape == (m, m)
     assert res.V.shape == (n, n)
     assert res.sigma.shape == (min(m, n),)
-    np.testing.assert_allclose(res.U.T @ res.U, np.eye(m), atol=1e-10)
-    np.testing.assert_allclose(res.V.T @ res.V, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose(res.U.T @ res.U, np.eye(m), atol=1e-13)
+    np.testing.assert_allclose(res.V.T @ res.V, np.eye(n), atol=1e-13)
     assert np.all(np.diff(res.sigma) <= 1e-15)
     assert np.all(res.sigma >= 0.0)
     err = np.linalg.norm(res.reconstruct() - M) / max(np.linalg.norm(M), 1e-300)
@@ -213,10 +213,11 @@ def _assert_matches_lapack(A, tol=1e-13):
     q = ref.size
     rec = (res.U[:, :q] * (res.sigma / smax)) @ res.V[:, :q].T
     np.testing.assert_allclose(rec, A / smax, rtol=0.0, atol=tol)
-    # Columns count as orthogonal at a relative Gram entry of 1e-12, so that
-    # is the order the factors are orthogonal to.
-    np.testing.assert_allclose(res.U.T @ res.U, np.eye(A.shape[0]), rtol=0.0, atol=1e-11)
-    np.testing.assert_allclose(res.V.T @ res.V, np.eye(A.shape[1]), rtol=0.0, atol=1e-11)
+    # Columns count as orthogonal at a relative Gram entry of big * eps, the
+    # rounding of the Gram entry itself, so the factors are orthogonal to a
+    # small multiple of eps, as LAPACK's are.
+    np.testing.assert_allclose(res.U.T @ res.U, np.eye(A.shape[0]), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(res.V.T @ res.V, np.eye(A.shape[1]), rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("scale", EXTREME_SCALES)
