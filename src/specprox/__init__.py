@@ -6,7 +6,7 @@ convex and nonconvex constraint sets, including their spectral (singular
 value) lifts, with Polyak and recursive momentum in the stochastic setting.
 """
 
-from .direction import DirectionState, initial_state, polyak_update, schedule, storm_update
+from .direction import polyak43, polyak_update, storm45, storm_update
 from .errors import (
     BoundaryError,
     ConfigError,

@@ -5,8 +5,9 @@ and fits the empirical convergence slope; ``prox-check`` runs the backward-step
 oracle equivalence suite; ``polar-fit`` emits the polynomial/preconditioner/sign
 curves as plot-ready CSV; ``validate`` runs the fast invariant suites.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 runtime error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (a
+malformed config, a parameter out of range, or a constraint or reference that
+does not fit the problem's blocks), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConfigError, SpecproxError
-from .harness import ExperimentConfig, load_config, rate_sweep, run_experiment
+from .errors import ConfigError, InvalidConfigError, InvalidSpecError, SpecproxError
+from .harness import (MODES, RATE_METRICS, ExperimentConfig, load_config, rate_sweep,
+                      run_experiment)
 from .polar import DEFAULT_SCHEDULE, fit_report, load_schedule
 
 
@@ -30,29 +32,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute an experiment config file")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("--config", required=True, help="path to a key = value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output CSV path")
     run_p.add_argument("--quiet", action="store_true")
 
     rates_p = sub.add_parser("rates", help="multi-horizon sweep and rate estimate")
+    rates_p.set_defaults(handler=_cmd_rates)
     rates_p.add_argument("--config", default=None, help="base config file (optional)")
-    rates_p.add_argument("--mode", default=None,
-                         choices=["deterministic", "polyak", "storm", "polar"])
+    rates_p.add_argument("--mode", default=None, choices=list(MODES))
     rates_p.add_argument("--horizons", default="64,128,256,512,1024,2048,4096",
                          help="comma-separated horizons")
     rates_p.add_argument("--reps", type=int, default=10)
     rates_p.add_argument("--seed", type=int, default=None)
-    rates_p.add_argument("--metric", default=None, choices=["gap", "grad-norm"])
+    rates_p.add_argument("--metric", default=None, choices=list(RATE_METRICS))
     rates_p.add_argument("--out", default=None, help="write per-horizon means as CSV")
     rates_p.add_argument("--quiet", action="store_true")
 
     prox_p = sub.add_parser("prox-check", help="backward-step oracle equivalence suite")
+    prox_p.set_defaults(handler=_cmd_prox_check)
     prox_p.add_argument("--instances", type=int, default=25)
     prox_p.add_argument("--seed", type=int, default=0)
     prox_p.add_argument("--quiet", action="store_true")
 
     fit_p = sub.add_parser("polar-fit", help="polynomial fit report as CSV")
+    fit_p.set_defaults(handler=_cmd_polar_fit)
     fit_p.add_argument("--eps", type=float, default=3e-4)
     fit_p.add_argument("--kappa", type=float, default=4.0)
     fit_p.add_argument("--schedule", default=DEFAULT_SCHEDULE)
@@ -61,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--quiet", action="store_true")
 
     val_p = sub.add_parser("validate", help="run the fast invariant suites")
+    val_p.set_defaults(handler=_cmd_validate)
     val_p.add_argument("--quiet", action="store_true")
 
     return p
@@ -138,16 +144,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "rates":
-            return _cmd_rates(args)
-        if args.command == "prox-check":
-            return _cmd_prox_check(args)
-        if args.command == "polar-fit":
-            return _cmd_polar_fit(args)
-        return _cmd_validate(args)
-    except (ConfigError, InvalidConfigError) as exc:
+        return args.handler(args)
+    except (ConfigError, InvalidConfigError, InvalidSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SpecproxError as exc:

@@ -1,7 +1,9 @@
 """Experiment harness: config files, repeated runs, CSV traces, rate estimation.
 
 Configs are flat ``key = value`` text files (``#`` starts a comment) so a run
-is fully described by one human-readable artifact.  Repetitions use seeds
+is fully described by one human-readable artifact.  Each named config axis
+has one name -> builder table, read by ``validate_config`` and ``build_*``
+(reference structures are ``Structure`` values).  Repetitions use seeds
 ``seed, seed+1, ...`` against a problem instance built once from the base
 seed; traces merge in seed order, so a config plus a seed pins the output
 bytes exactly.
@@ -56,24 +58,24 @@ CSV_COLUMNS = ("run_id", "k", "F", "gap_bregman", "step_norm", "gamma_k", "alpha
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: str = "quadratic"       # quadratic | logistic | matrix-quadratic
+    problem: str = "quadratic"       # a key of PROBLEMS
     n: int = 16
     m: int = 8                       # rows (matrix problems) / samples (logistic)
     cond: float = 10.0
-    noise: str = "none"              # none | gaussian | student-t
+    noise: str = "none"              # a key of NOISES
     sigma: float = 1.0
     df: float = 1.8
     p_moment: float = 1.5
-    mode: str = "polyak"             # deterministic | polyak | storm | polar
+    mode: str = "polyak"             # a key of MODES
     K: int = 256
     gamma: float = 0.1               # deterministic stepsize
     gamma_bar: float = 1.0
     eps_hat: float = 0.0             # 0 -> (K+1)^(-1/4) in polar mode
     poly_schedule: str = ""          # schedule name/path for the polar surrogate
-    reference: str = "barrier-aniso"
+    reference: str = "barrier-aniso"  # <key of REFERENCE_FAMILIES>-<Structure value>
     epsilon: float = 1.0
     kappa: float = 4.0
-    constraint: str = "zero"
+    constraint: str = "zero"         # a key of CONSTRAINTS
     radius: float = 1.0
     sparsity: int = 1
     seed: int = 0
@@ -82,16 +84,53 @@ class ExperimentConfig:
     out: str = "trace.csv"
 
 
-_STRUCTURES = {
-    "aniso": Structure.ANISO,
-    "iso": Structure.ISO,
-    "spectral-aniso": Structure.SPECTRAL_ANISO,
-    "spectral-iso": Structure.SPECTRAL_ISO,
+# One name -> builder table per config axis; each name is defined here only.
+
+PROBLEMS = {
+    "quadratic": lambda cfg, rng: make_quadratic(cfg.n, cfg.cond, rng),
+    "logistic": lambda cfg, rng: make_logistic(cfg.m, cfg.n, rng),
+    "matrix-quadratic": lambda cfg, rng: make_matrix_quadratic(cfg.m, cfg.n, rng),
 }
 
-_CONSTRAINTS = ("zero", "sign-set", "l2-ball", "linf-ball", "linf-sphere",
-                "hard-threshold", "stiefel", "frobenius-ball", "spectral-ball",
-                "spectral-sphere", "rank-limit")
+NOISES = {
+    "none": lambda cfg: NoiseModel.none(),
+    "gaussian": lambda cfg: NoiseModel.gaussian(cfg.sigma),
+    "student-t": lambda cfg: NoiseModel.student_t(cfg.df, cfg.sigma, cfg.p_moment),
+}
+
+
+def _polar_mode(cfg: ExperimentConfig) -> PolarExpressMode:
+    schedule = load_schedule(cfg.poly_schedule) if cfg.poly_schedule else None
+    eps_hat = cfg.eps_hat if cfg.eps_hat > 0.0 else None
+    return PolarExpressMode(K=cfg.K, eps_hat=eps_hat, gamma_bar=cfg.gamma_bar,
+                            poly_schedule=schedule)
+
+
+MODES = {
+    "deterministic": lambda cfg: Deterministic(gamma=cfg.gamma, K=cfg.K),
+    "polyak": lambda cfg: StochasticPolyak(K=cfg.K, gamma_bar=cfg.gamma_bar),
+    "storm": lambda cfg: StochasticStorm(K=cfg.K, gamma_bar=cfg.gamma_bar),
+    "polar": _polar_mode,
+}
+
+REFERENCE_FAMILIES = {
+    "barrier": lambda cfg: Barrier(cfg.epsilon),
+    "hyper": lambda cfg: HyperKappa(cfg.epsilon, cfg.kappa),
+}
+
+CONSTRAINTS = {
+    "zero": lambda cfg: Zero(),
+    "sign-set": lambda cfg: SignSet(cfg.radius),
+    "l2-ball": lambda cfg: L2Ball(cfg.radius),
+    "linf-ball": lambda cfg: LinfBall(cfg.radius),
+    "linf-sphere": lambda cfg: LinfSphere(cfg.radius),
+    "hard-threshold": lambda cfg: HardThreshold(cfg.sparsity),
+    "stiefel": lambda cfg: Stiefel(cfg.radius),
+    "frobenius-ball": lambda cfg: FrobeniusBall(cfg.radius),
+    "spectral-ball": lambda cfg: SpectralBall(cfg.radius),
+    "spectral-sphere": lambda cfg: SpectralSphere(cfg.radius),
+    "rank-limit": lambda cfg: RankLimit(cfg.sparsity),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -112,9 +151,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         current = getattr(defaults, key)
         try:
-            if isinstance(current, bool):
-                values[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 values[key] = int(val)
             elif isinstance(current, float):
                 values[key] = float(val)
@@ -130,14 +167,9 @@ def parse_config(text: str) -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
     for f in fields(ExperimentConfig):
-        out.write(f"{f.name} = {_fmt_value(getattr(cfg, f.name))}\n")
+        # A float formats as its repr, which parses back to the same value.
+        out.write(f"{f.name} = {getattr(cfg, f.name)}\n")
     return out.getvalue()
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -150,21 +182,23 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.problem not in ("quadratic", "logistic", "matrix-quadratic"):
+    if cfg.problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {cfg.problem!r}")
-    if cfg.noise not in ("none", "gaussian", "student-t"):
+    if cfg.noise not in NOISES:
         raise ConfigError(f"unknown noise {cfg.noise!r}")
-    if cfg.mode not in ("deterministic", "polyak", "storm", "polar"):
+    if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.reference.count("-") < 1:
         raise ConfigError(f"reference must look like 'barrier-aniso', got {cfg.reference!r}")
-    kind, _, structure = cfg.reference.partition("-")
-    if kind not in ("barrier", "hyper"):
-        raise ConfigError(f"unknown reference family {kind!r}")
-    if structure not in _STRUCTURES:
+    family, _, structure = cfg.reference.partition("-")
+    if family not in REFERENCE_FAMILIES:
+        raise ConfigError(f"unknown reference family {family!r}")
+    if structure not in [s.value for s in Structure]:
         raise ConfigError(f"unknown reference structure {structure!r}")
-    if cfg.constraint not in _CONSTRAINTS:
+    if cfg.constraint not in CONSTRAINTS:
         raise ConfigError(f"unknown constraint {cfg.constraint!r}")
+    if cfg.eps_hat < 0.0:
+        raise ConfigError(f"eps_hat must be >= 0 (0 means the default), got {cfg.eps_hat!r}")
     if cfg.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg.K < 0:
@@ -178,65 +212,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def build_problem(cfg: ExperimentConfig):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(999,)))
-    if cfg.problem == "quadratic":
-        return make_quadratic(cfg.n, cfg.cond, rng)
-    if cfg.problem == "logistic":
-        return make_logistic(cfg.m, cfg.n, rng)
-    return make_matrix_quadratic(cfg.m, cfg.n, rng)
+    return PROBLEMS[cfg.problem](cfg, rng)
 
 
 def build_reference(cfg: ExperimentConfig) -> ReferenceFn:
-    kind, _, structure = cfg.reference.partition("-")
-    scalar = Barrier(cfg.epsilon) if kind == "barrier" else HyperKappa(cfg.epsilon, cfg.kappa)
-    return ReferenceFn.uniform(_STRUCTURES[structure], scalar)
+    family, _, structure = cfg.reference.partition("-")
+    return ReferenceFn.uniform(Structure(structure), REFERENCE_FAMILIES[family](cfg))
 
 
 def build_constraint(cfg: ExperimentConfig) -> ConstraintSpec:
-    c = cfg.constraint
-    if c == "zero":
-        tag = Zero()
-    elif c == "sign-set":
-        tag = SignSet(cfg.radius)
-    elif c == "l2-ball":
-        tag = L2Ball(cfg.radius)
-    elif c == "linf-ball":
-        tag = LinfBall(cfg.radius)
-    elif c == "linf-sphere":
-        tag = LinfSphere(cfg.radius)
-    elif c == "hard-threshold":
-        tag = HardThreshold(cfg.sparsity)
-    elif c == "stiefel":
-        tag = Stiefel(cfg.radius)
-    elif c == "frobenius-ball":
-        tag = FrobeniusBall(cfg.radius)
-    elif c == "spectral-ball":
-        tag = SpectralBall(cfg.radius)
-    elif c == "spectral-sphere":
-        tag = SpectralSphere(cfg.radius)
-    else:
-        tag = RankLimit(cfg.sparsity)
-    return ConstraintSpec(tag)
+    return ConstraintSpec(CONSTRAINTS[cfg.constraint](cfg))
 
 
 def build_mode(cfg: ExperimentConfig):
-    if cfg.mode == "deterministic":
-        return Deterministic(gamma=cfg.gamma, K=cfg.K)
-    if cfg.mode == "polyak":
-        return StochasticPolyak(K=cfg.K, gamma_bar=cfg.gamma_bar)
-    if cfg.mode == "storm":
-        return StochasticStorm(K=cfg.K, gamma_bar=cfg.gamma_bar)
-    schedule = load_schedule(cfg.poly_schedule) if cfg.poly_schedule else None
-    eps_hat = cfg.eps_hat if cfg.eps_hat > 0.0 else None
-    return PolarExpressMode(K=cfg.K, eps_hat=eps_hat, gamma_bar=cfg.gamma_bar,
-                            poly_schedule=schedule)
+    return MODES[cfg.mode](cfg)
 
 
 def build_noise(cfg: ExperimentConfig) -> NoiseModel:
-    if cfg.noise == "none":
-        return NoiseModel.none()
-    if cfg.noise == "gaussian":
-        return NoiseModel.gaussian(cfg.sigma)
-    return NoiseModel.student_t(cfg.df, cfg.sigma, cfg.p_moment)
+    return NOISES[cfg.noise](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +275,7 @@ def execute(cfg: ExperimentConfig) -> ExperimentResult:
     pieces as arguments, so the output is independent of completion order and
     of the worker count.
     """
+    validate_config(cfg)
     problem = build_problem(cfg)
     spec = build_constraint(cfg)
     spec.validate_for(problem.shapes)
@@ -413,6 +407,13 @@ def estimate_rate(results: dict[int, list[float]]) -> RateEstimate:
     )
 
 
+# Rate metric name -> the per-run summary value a sweep averages.
+RATE_METRICS = {
+    "gap": lambda s: s.time_avg_gap,
+    "grad-norm": lambda s: s.time_avg_grad_norm,
+}
+
+
 def rate_sweep(cfg: ExperimentConfig, horizons, repetitions: Optional[int] = None,
                metric: str = "gap", quiet: bool = True) -> tuple[RateEstimate, dict[int, list[float]]]:
     """Run the config across horizons and fit the empirical rate.
@@ -421,17 +422,14 @@ def rate_sweep(cfg: ExperimentConfig, horizons, repetitions: Optional[int] = Non
     (time-averaged true gradient norm, the natural measure for the normalized
     mode).
     """
-    if metric not in ("gap", "grad-norm"):
+    if metric not in RATE_METRICS:
         raise InvalidConfigError(f"unknown metric {metric!r}")
     reps = repetitions if repetitions is not None else cfg.repetitions
     per_horizon: dict[int, list[float]] = {}
     for K in horizons:
         sweep_cfg = replace(cfg, K=int(K), repetitions=reps)
         result = execute(sweep_cfg)
-        if metric == "gap":
-            vals = [s.time_avg_gap for s in result.summaries]
-        else:
-            vals = [s.time_avg_grad_norm for s in result.summaries]
+        vals = [RATE_METRICS[metric](s) for s in result.summaries]
         per_horizon[int(K)] = vals
         if not quiet:
             print(f"K={K}: mean {metric} = {float(np.mean(vals)):.6e}")

@@ -6,11 +6,11 @@ One step moves from x to
     x_next = argmin_x g(x) + gamma*phi((x - y)/gamma)
 
 with d a (possibly stochastic) direction.  ``run`` drives one loop for all
-four modes, which differ only in parts picked before it starts: the direction
-estimator (true gradient, Polyak momentum, or recursive two-evaluation
-momentum) with its schedule, and the step rule (the prox step above, or the
-normalized step that divides d by its norm before preconditioning).  Every
-run is replayable from its seed.  The diagnostics (gap, gradient norm) use
+four modes.  A mode is a frozen value whose ``schedule(k)`` gives the pair
+(alpha_k, gamma_k).  Each iteration takes the prox step above, or for the
+normalized mode the step that divides d by its norm before preconditioning,
+and then replaces d by the true gradient, a Polyak momentum update or a
+recursive two-evaluation update.  Every run is replayable from its seed.  The diagnostics (gap, gradient norm) use
 the true gradient; a stochastic update sees it only through an oracle sample,
 the true gradient plus token noise.  grad_f(x^{k+1}) is evaluated once and
 serves the gap of step k, step k+1 and the token-(k+1) samples.
@@ -19,9 +19,9 @@ serves the gap of step k, step k+1 and the token-(k+1) samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import Optional
 
-from .direction import DirectionState, initial_state, polyak_update, schedule, storm_update
+from .direction import polyak43, polyak_update, storm45, storm_update
 from .errors import InvalidConfigError, NumericalError
 from .prox import ConstraintSpec, Zero, backward_step, feasibility_error, recover_subgradient
 from .problems import GradientOracle, NoiseModel
@@ -41,27 +41,33 @@ STEP_BOUND_SLACK = 1e-12
 class Deterministic:
     """Full-gradient mode with a constant stepsize."""
 
-    trace_name: ClassVar[str] = "deterministic"
     gamma: float
     K: int
+
+    def schedule(self, k: int) -> tuple[float, float]:
+        return 1.0, self.gamma
 
 
 @dataclass(frozen=True)
 class StochasticPolyak:
     """Polyak momentum with the horizon-tuned schedule."""
 
-    trace_name: ClassVar[str] = "polyak"
     K: int
     gamma_bar: float = 1.0
+
+    def schedule(self, k: int) -> tuple[float, float]:
+        return polyak43(self.K, self.gamma_bar)
 
 
 @dataclass(frozen=True)
 class StochasticStorm:
     """Recursive momentum with per-iteration schedule."""
 
-    trace_name: ClassVar[str] = "storm"
     K: int
     gamma_bar: float = 1.0
+
+    def schedule(self, k: int) -> tuple[float, float]:
+        return storm45(k, self.gamma_bar)
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,13 @@ class PolarExpressMode:
     surrogate; surrogate runs are diagnostics only.
     """
 
-    trace_name: ClassVar[str] = "polar-express"
     K: int
     eps_hat: Optional[float] = None
     gamma_bar: float = 1.0
     poly_schedule: Optional[object] = None
+
+    def schedule(self, k: int) -> tuple[float, float]:
+        return polyak43(self.K, self.gamma_bar)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ class TraceRecord:
 
 @dataclass
 class Trace:
-    mode: str
+    mode: object  # the run's mode value
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
     oracle_calls: int = 0
@@ -191,6 +199,8 @@ def _check_step_bound(x: ParamVec, x_next: ParamVec, gamma: float, ref: Referenc
 
 
 def _validated_x0(config: RunConfig) -> ParamVec:
+    # Raises before the first step if a reference structure does not fit its block.
+    config.ref.block_domain_radii(config.x0.shapes)
     err = feasibility_error(config.spec, config.x0)
     if err > FEASIBILITY_TOL:
         raise InvalidConfigError(f"x0 violates the constraint set by {err:.3e}")
@@ -220,67 +230,34 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
         raise InvalidConfigError("K must be >= 0")
     K = mode.K
     deterministic = isinstance(mode, Deterministic)
-    storm = isinstance(mode, StochasticStorm)
-
-    # Step rule: the prox step, or the normalized step of an unconstrained run.
-    if isinstance(mode, PolarExpressMode):
+    normalized = isinstance(mode, PolarExpressMode)
+    if normalized:
         if not all(isinstance(tag, Zero) for tag in spec.tags):
             raise InvalidConfigError("normalized mode needs an unconstrained spec")
         eps_hat = mode.eps_hat if mode.eps_hat is not None else (K + 1.0) ** -0.25
         zero_sub = 0.0 * x
 
-        def advance(x, d, gamma):
+    # Direction: the true gradient, or a momentum estimate from token-k samples.
+    g = problem.grad_f(x)
+    oracle = GradientOracle(problem, noise, config.seed)
+    d = g if deterministic else oracle.perturb(g, token=0)
+
+    trace = Trace(mode=mode, seed=config.seed)
+    xs = [x] if record_iterates else None
+    for k in range(K + 1):
+        alpha, gamma = mode.schedule(k)
+        f_here = problem.f(x)
+        reg = regularized_gap(spec, ref, gamma, x, g) if record_reg_gap and deterministic else None
+        # Step rule: the prox step, or the normalized step of an unconstrained run.
+        if normalized:
             x_next = polar_express_step(x, d, gamma, ref, eps_hat,
                                         poly_schedule=mode.poly_schedule)
             if mode.poly_schedule is None:
                 _check_step_bound(x, x_next, gamma, ref)
-            return x_next, zero_sub
-    else:
-        def advance(x, d, gamma):
+            subgrad = zero_sub
+        else:
             x_next, _, subgrad = step(x, d, gamma, ref, spec)
             _check_feasible(spec, x_next)
-            return x_next, subgrad
-
-    # Schedule (alpha_k, gamma_k): per-iteration for STORM, run-constant otherwise.
-    if storm:
-        def schedule_at(k):
-            return schedule("storm45", k, mode.gamma_bar)
-    else:
-        constant = (1.0, mode.gamma) if deterministic else schedule("polyak43", K, mode.gamma_bar)
-
-        def schedule_at(k):
-            return constant
-
-    # Direction: the true gradient, or a momentum estimate from token-k samples.
-    g = problem.grad_f(x)
-    oracle = GradientOracle(problem, noise, config.seed)
-    if deterministic:
-        state = initial_state("plain", g)
-
-        def next_direction(state, k, g, g_next):
-            return DirectionState(d=g_next, kind="plain", k=k + 1)
-    elif storm:
-        state = initial_state("storm", oracle.perturb(g, token=0))
-
-        def next_direction(state, k, g, g_next):
-            # One fresh sample, evaluated at both the new and the old iterate.
-            alpha_next, _ = schedule_at(k + 1)
-            g_new = oracle.perturb(g_next, token=k + 1)
-            g_old = oracle.perturb(g, token=k + 1)
-            return storm_update(state, g_new, g_old, alpha_next)
-    else:
-        state = initial_state("polyak", oracle.perturb(g, token=0))
-
-        def next_direction(state, k, g, g_next):
-            return polyak_update(state, oracle.perturb(g_next, token=k + 1), constant[0])
-
-    trace = Trace(mode=mode.trace_name, seed=config.seed)
-    xs = [x] if record_iterates else None
-    for k in range(K + 1):
-        alpha, gamma = schedule_at(k)
-        f_here = problem.f(x)
-        reg = regularized_gap(spec, ref, gamma, x, g) if record_reg_gap and deterministic else None
-        x_next, subgrad = advance(x, state.d, gamma)
         # grad_f(x^{k+1}) serves this gap, the next samples and iteration k+1.
         g_next = problem.grad_f(x_next)
         trace.records.append(TraceRecord(
@@ -291,12 +268,20 @@ def run(config: RunConfig, problem, noise: Optional[NoiseModel] = None,
             gamma=gamma,
             alpha=alpha,
             grad_norm=norm2(g),
-            dir_error=0.0 if deterministic else norm2(state.d - g),
+            dir_error=0.0 if deterministic else norm2(d - g),
             sample_token=None if deterministic else k,
             reg_gap=reg,
         ))
         if k < K:
-            state = next_direction(state, k, g, g_next)
+            if deterministic:
+                d = g_next
+            elif isinstance(mode, StochasticStorm):
+                # One fresh sample, evaluated at the new and the old iterate.
+                g_new = oracle.perturb(g_next, token=k + 1)
+                g_old = oracle.perturb(g, token=k + 1)
+                d = storm_update(d, g_new, g_old, mode.schedule(k + 1)[0])
+            else:
+                d = polyak_update(d, oracle.perturb(g_next, token=k + 1), alpha)
         x, g = x_next, g_next
         if record_iterates:
             xs.append(x)

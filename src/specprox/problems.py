@@ -223,22 +223,28 @@ class GradientOracle:
     The perturbation depends only on ``(seed, token)``: querying the same
     token at two points returns gradients whose difference is exact, and the
     per-sample objective gradient inherits the smoothness of the true one.
+    The last token's noise is kept, so a second query of it draws nothing.
     """
 
-    __slots__ = ("problem", "noise", "seed", "calls")
+    __slots__ = ("problem", "noise", "seed", "calls", "_token", "_noise")
 
     def __init__(self, problem, noise: NoiseModel, seed: int):
         self.problem = problem
         self.noise = noise
         self.seed = int(seed)
         self.calls = 0
+        self._token = None
+        self._noise = None
 
     def perturb(self, g: ParamVec, token: int) -> ParamVec:
         """One oracle call at a point whose true gradient ``g`` is known."""
         self.calls += 1
         if self.noise.kind == "none":
             return g
-        return g + self.noise.draw(_token_rng(self.seed, token), self.problem.shapes)
+        if token != self._token:
+            self._noise = self.noise.draw(_token_rng(self.seed, token), self.problem.shapes)
+            self._token = token
+        return g + self._noise
 
     def sample(self, x: ParamVec, token: int) -> ParamVec:
         return self.perturb(self.problem.grad_f(x), token)

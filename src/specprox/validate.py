@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .harness import (ExperimentConfig, build_constraint, build_reference, execute,
+from .harness import (MODES, ExperimentConfig, build_constraint, build_reference, execute,
                       traces_to_csv)
 from .optimizer import step
 from .polar import DEFAULT_SCHEDULE, fit_report, load_schedule
@@ -148,12 +148,15 @@ def check_polar_fit() -> tuple[bool, str]:
 
 
 def check_replay_determinism() -> tuple[bool, str]:
-    cfg = ExperimentConfig(problem="quadratic", n=6, noise="gaussian", sigma=0.5,
-                           mode="polyak", K=20, repetitions=2, seed=11,
-                           constraint="linf-ball", radius=1.0)
-    a = traces_to_csv(execute(cfg).traces)
-    b = traces_to_csv(execute(cfg).traces)
-    return a == b, "byte-identical" if a == b else "CSV bytes differ"
+    differ = []
+    for mode in MODES:
+        cfg = ExperimentConfig(problem="quadratic", n=6, noise="gaussian", sigma=0.5,
+                               mode=mode, K=20, repetitions=2, seed=11,
+                               constraint="zero" if mode == "polar" else "linf-ball",
+                               radius=1.0)
+        if traces_to_csv(execute(cfg).traces) != traces_to_csv(execute(cfg).traces):
+            differ.append(mode)
+    return not differ, f"CSV bytes differ in {differ}" if differ else "byte-identical"
 
 
 def check_gap_nonnegativity(seed: int = 5) -> tuple[bool, str]:

@@ -1,12 +1,15 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import specprox as sp
+from specprox import harness
 from specprox.cli import main
 from specprox.harness import CSV_COLUMNS, ExperimentConfig, execute, traces_to_csv
+from specprox.prox import VECTOR_TAGS
 
 
 def small_cfg(**kw):
@@ -45,6 +48,56 @@ def test_config_error_diagnostics():
         sp.parse_config("mode = warp\n")
     with pytest.raises(sp.ConfigError):
         sp.parse_config("repetitions = 0\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("problem = bogus", "unknown problem"),
+    ("noise = bogus", "unknown noise"),
+    ("mode = bogus", "unknown mode"),
+    ("reference = bogus", "reference must look like"),
+    ("reference = bogus-aniso", "unknown reference family"),
+    ("reference = barrier-bogus", "unknown reference structure"),
+    ("constraint = bogus", "unknown constraint"),
+])
+def test_unknown_name_names_its_field(line, message):
+    with pytest.raises(sp.ConfigError, match=message):
+        sp.parse_config(line + "\n")
+    field, _, name = line.partition(" = ")
+    with pytest.raises(sp.ConfigError, match=message):
+        execute(small_cfg(**{field: name}))
+
+
+def test_negative_eps_hat_rejected():
+    # Only 0 selects the default (K+1)^(-1/4); a negative value is a mistake.
+    with pytest.raises(sp.ConfigError, match="eps_hat"):
+        sp.parse_config("mode = polar\nconstraint = zero\neps_hat = -0.5\n")
+    assert sp.parse_config("mode = polar\neps_hat = 0\n").eps_hat == 0.0
+
+
+def _table_cases():
+    references = [f"{family}-{s.value}" for family in harness.REFERENCE_FAMILIES
+                  for s in sp.Structure]
+    tables = {"problem": harness.PROBLEMS, "noise": harness.NOISES, "mode": harness.MODES,
+              "reference": references, "constraint": harness.CONSTRAINTS}
+    return [(field, name) for field, names in tables.items() for name in names]
+
+
+@pytest.mark.parametrize("field,name", _table_cases())
+def test_every_table_name_builds_and_runs(field, name):
+    # Matrix problems, spectral structures and matrix sets run on a 4x3
+    # matrix-quadratic with a spectral reference; the rest on a vector quadratic.
+    cfg = small_cfg(K=1, repetitions=1, **{"constraint": "zero", field: name})
+    matrix = (len(harness.build_problem(cfg).shapes[0]) == 2
+              or sp.Structure(cfg.reference.partition("-")[2]).is_spectral
+              or not isinstance(harness.build_constraint(cfg).tags[0], VECTOR_TAGS))
+    if matrix:
+        cfg = replace(cfg, problem="matrix-quadratic", m=4, n=3)
+        if field != "reference":
+            cfg = replace(cfg, reference="barrier-spectral-aniso")
+    result = execute(cfg)
+    assert len(result.traces[0]) == 2
+    assert all(math.isfinite(r.gap_bregman) and math.isfinite(r.F)
+               for r in result.traces[0].records)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +273,23 @@ def test_cli_run_hyper_kappa_near_one(tmp_path):
     lines = out.read_text().strip().split("\n")
     col = lines[0].split(",").index("gap_bregman")
     assert all(math.isfinite(float(row.split(",")[col])) for row in lines[1:])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("constraint = l2-ball\nradius = -1\n", "radius must be positive"),
+    ("constraint = stiefel\n", "Stiefel cannot constrain a vector block"),
+    ("reference = barrier-spectral-aniso\n", "SPECTRAL_ANISO applies to matrix blocks"),
+])
+def test_cli_block_mismatch_is_config_error(tmp_path, capsys, text, message):
+    # A constraint or reference that does not fit the problem's blocks is a
+    # configuration mistake (exit 2), reported before the first step.
+    cfg_path = tmp_path / "mismatch.cfg"
+    cfg_path.write_text(f"problem = quadratic\nn = 4\nK = 2\nout = {tmp_path / 'x.csv'}\n"
+                        + text)
+    assert main(["run", "--config", str(cfg_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_polar_fit_csv(tmp_path):

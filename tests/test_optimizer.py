@@ -177,7 +177,7 @@ def test_polyak_run_replay_and_tokens(rng):
     t2 = sp.run(cfg, prob, noise=noise)
     assert t1.column("gap_bregman") == t2.column("gap_bregman")
     assert t1.column("sample_token") == list(range(31))
-    alpha, gamma = sp.schedule("polyak43", 30)
+    alpha, gamma = sp.polyak43(30)
     assert all(r.alpha == alpha and r.gamma == gamma for r in t1.records)
     assert t1.oracle_calls == 31
 
@@ -192,6 +192,24 @@ def test_storm_run_two_calls_per_sample(rng):
     gammas = tr.column("gamma")
     assert gammas[0] == pytest.approx(1.0)
     assert gammas[7] == pytest.approx(8.0 ** (-2.0 / 3.0))
+
+
+def test_storm_draws_each_token_once(rng, monkeypatch):
+    # The old-iterate sample of token k+1 reuses the noise drawn for the new one.
+    draws = []
+    draw = sp.NoiseModel.draw
+
+    def counted(self, token_rng, shapes):
+        draws.append(shapes)
+        return draw(self, token_rng, shapes)
+
+    monkeypatch.setattr(sp.NoiseModel, "draw", counted)
+    prob = sp.make_quadratic(5, 2.0, rng=rng)
+    cfg = sp.RunConfig(ref=ANISO, spec=UNCONSTRAINED, mode=sp.StochasticStorm(K=100),
+                       seed=7, x0=sp.ParamVec([np.zeros(5)]))
+    tr = sp.run(cfg, prob, noise=sp.NoiseModel.gaussian(0.5))
+    assert len(draws) == 101
+    assert tr.oracle_calls == 1 + 2 * 100
 
 
 def test_storm_noiseless_tracks_gradient(rng):
