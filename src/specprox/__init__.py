@@ -38,6 +38,7 @@ from .optimizer import (
     TraceRecord,
     polar_express_step,
     run,
+    run_batch,
     step,
 )
 from .polar import (

@@ -2,7 +2,14 @@
 
 
 class SpecproxError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A failure the run loop detects names where it happened: the iteration
+    ``k``, the ``seed`` of the failing run, its ``mode`` and the ``block``
+    index.  Elsewhere these are None.
+    """
+
+    k = seed = mode = block = None
 
 
 class ConformabilityError(SpecproxError):

@@ -5,8 +5,12 @@ is fully described by one human-readable artifact.  Each named config axis
 has one name -> builder table, read by ``validate_config`` and ``build_*``
 (reference structures are ``Structure`` values).  Repetitions use seeds
 ``seed, seed+1, ...`` against a problem instance built once from the base
-seed; traces merge in seed order, so a config plus a seed pins the output
-bytes exactly.
+seed, and step together as one batch of the run loop; traces come in seed
+order, so a config plus a seed pins the output bytes exactly.
+
+The determinism contract: the same config gives the same bytes, and
+repetition i of a config is byte for byte the single run (``optimizer.run``)
+of seed ``seed + i`` on the same problem, whatever the number of repetitions.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -27,7 +30,7 @@ from .optimizer import (
     StochasticPolyak,
     StochasticStorm,
     Trace,
-    run,
+    run_batch,
 )
 from .polar import load_schedule
 from .problems import NoiseModel, make_logistic, make_matrix_quadratic, make_quadratic
@@ -80,7 +83,6 @@ class ExperimentConfig:
     sparsity: int = 1
     seed: int = 0
     repetitions: int = 1
-    workers: int = 1                 # >1 fans repetitions out across processes
     out: str = "trace.csv"
 
 
@@ -232,6 +234,18 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
     return NOISES[cfg.noise](cfg)
 
 
+def build_run(cfg: ExperimentConfig) -> tuple[RunConfig, object, NoiseModel]:
+    """What every repetition of ``cfg`` shares: its run config (at the base seed),
+    the problem and the noise model, each built once."""
+    validate_config(cfg)
+    problem = build_problem(cfg)
+    spec = build_constraint(cfg)
+    spec.validate_for(problem.shapes)
+    run_cfg = RunConfig(ref=build_reference(cfg), spec=spec, mode=build_mode(cfg), seed=cfg.seed,
+                        x0=feasible_start(spec, problem.shapes))
+    return run_cfg, problem, build_noise(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -267,34 +281,18 @@ def _fmt17(v: float) -> str:
 
 
 def execute(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all repetitions; results always merge in seed order.
+    """Run all repetitions as one batch; results come in seed order.
 
     The problem, constraint, reference, noise model, mode and start point are
-    built once and shared by every repetition; only the seed advances.  With
-    ``workers > 1`` repetitions fan out across processes, which receive those
-    pieces as arguments, so the output is independent of completion order and
-    of the worker count.
+    built once (:func:`build_run`) and shared by every repetition; only the
+    seed, and with it the noise table, differs from row to row.
     """
-    validate_config(cfg)
-    problem = build_problem(cfg)
-    spec = build_constraint(cfg)
-    spec.validate_for(problem.shapes)
-    ref = build_reference(cfg)
-    noise = build_noise(cfg)
-    base = RunConfig(ref=ref, spec=spec, mode=build_mode(cfg), seed=cfg.seed,
-                     x0=feasible_start(spec, problem.shapes))
-    run_cfgs = [replace(base, seed=cfg.seed + rep) for rep in range(cfg.repetitions)]
-    if cfg.workers > 1 and cfg.repetitions > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            traces = list(pool.map(run, run_cfgs, repeat(problem), repeat(noise)))
-    else:
-        traces = [run(run_cfg, problem, noise) for run_cfg in run_cfgs]
+    run_cfg, problem, noise = build_run(cfg)
+    traces = run_batch(run_cfg, problem, noise, cfg.repetitions)
     summaries = [
         RunSummary(
             run_id=rep,
-            seed=cfg.seed + rep,
+            seed=trace.seed,
             K=cfg.K,
             time_avg_gap=trace.time_averaged_gap(),
             time_avg_grad_norm=trace.time_averaged_grad_norm(),

@@ -4,7 +4,8 @@ A schedule is an ordered list of quintic coefficient triples ``(a, b, c)``;
 iteration ``i`` maps ``t -> a*t + b*t^3 + c*t^5`` and the whole schedule is
 their composition.  On matrices the same map acts on singular values:
 ``M -> M (aI + bG + cG^2)`` with ``G = M^T M``, after normalizing the input by
-its Frobenius norm plus a damping constant.
+its Frobenius norm plus a damping constant.  A stack of matrices is mapped
+matrix by matrix with stacked products.
 
 ``fit_report`` measures how closely a composed schedule tracks the bounded
 preconditioner ``t -> t/(eps^kappa + t^kappa)^(1/kappa)`` versus the hard sign
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 from .reference import HyperKappa
+from .tensor import trailing_sum
 
 DEFAULT_SCHEDULE = "newton-schulz"
 SHIPPED_SCHEDULES = ("newton-schulz", "muon-quintic", "varying-quintic")
@@ -93,31 +95,32 @@ def apply_poly_scalar(schedule: PolySchedule, t):
 def apply_poly_matrix(schedule: PolySchedule, M, eps_hat: float) -> np.ndarray:
     """Normalized matrix iteration; singular vectors are preserved.
 
-    The input is scaled by ``1/(||M||_F + eps_hat)`` and each iteration is
-    evaluated in the factored form ``X(aI + bG + cG^2)`` with ``G = X^T X``.
+    The input (a matrix, or a stack of them) is scaled by
+    ``1/(||M||_F + eps_hat)`` and each iteration is evaluated in the factored
+    form ``X(aI + bG + cG^2)`` with ``G = X^T X``.
     """
     X = np.asarray(M, dtype=float)
-    if X.ndim != 2:
-        raise InvalidInputError("apply_poly_matrix expects a matrix")
+    if X.ndim < 2:
+        raise InvalidInputError("apply_poly_matrix expects a matrix or a stack of them")
     if not np.isfinite(X).all():
         raise InvalidInputError("apply_poly_matrix: non-finite input")
     if eps_hat <= 0.0:
         raise InvalidConfigError("eps_hat must be positive")
-    nf = math.sqrt(float(np.vdot(X, X)))
+    nf = np.sqrt(trailing_sum(X * X, 2))[..., None, None]
     X = X / (nf + eps_hat)
-    n = X.shape[1]
-    eye = np.eye(n)
+    eye = np.eye(X.shape[-1])
     for a, b, c in schedule.iterations:
-        G = X.T @ X
+        G = np.swapaxes(X, -1, -2) @ X
         X = X @ (a * eye + b * G + c * (G @ G))
     return X
 
 
-def apply_poly_block(schedule: PolySchedule, block: np.ndarray, eps_hat: float) -> np.ndarray:
-    """Polynomial surrogate on one block; vectors are treated as one-column matrices."""
-    if block.ndim == 1:
-        return apply_poly_matrix(schedule, block[:, None], eps_hat)[:, 0]
-    return apply_poly_matrix(schedule, block, eps_hat)
+def apply_poly_block(schedule: PolySchedule, block: np.ndarray, eps_hat: float,
+                     spectral: bool) -> np.ndarray:
+    """Polynomial surrogate on one block (or a stack); a vector block is a one-column matrix."""
+    if spectral:
+        return apply_poly_matrix(schedule, block, eps_hat)
+    return apply_poly_matrix(schedule, block[..., None], eps_hat)[..., 0]
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,18 @@
 
 Every problem exposes ``shapes``, an analytic Lipschitz constant ``L`` of the
 gradient, an optional lower bound ``F_star_hint`` on the objective, and the
-pair ``f`` / ``grad_f`` acting on :class:`~specprox.tensor.ParamVec` points.
+pair ``f`` / ``grad_f`` acting on :class:`~specprox.tensor.ParamVec` points,
+or on a batch of points row by row (one value of ``f`` per row).  Products
+with the problem data are stacked matrix products, whose rows do not depend
+on each other.
 
 Noise is additive and independent of the query point, so a fixed sample token
 reproduces the same perturbation at any location: differences of two oracle
 calls on one token are exact gradient differences, which is what the
-two-evaluation momentum estimator requires.
+two-evaluation momentum estimator requires.  A run's noise is a table: token
+k's perturbation is row k of the draws of ``Generator(Philox(key=seed))``,
+the counter-based generator of Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3" (SC'11).
 """
 
 from __future__ import annotations
@@ -18,12 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .tensor import ParamVec
+from .tensor import ParamVec, trailing_sum
 
 
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a vector or for each row of a stack, as a stacked matrix product."""
+    return np.matmul(A, x[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,13 +50,15 @@ class QuadraticProblem:
     def shapes(self):
         return ((self.A.shape[1],),)
 
-    def f(self, x: ParamVec) -> float:
-        r = self.A @ x[0] - self.b
-        return 0.5 * float(r @ r)
+    def _residual(self, x: ParamVec) -> np.ndarray:
+        return _matvec(self.A, x[0]) - self.b
+
+    def f(self, x: ParamVec):
+        r = self._residual(x)
+        return 0.5 * trailing_sum(r * r, 1)
 
     def grad_f(self, x: ParamVec) -> ParamVec:
-        r = self.A @ x[0] - self.b
-        return ParamVec((self.A.T @ r,), validate=False, copy=False)
+        return x._new((_matvec(self.A.T, self._residual(x)),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +74,15 @@ class LogisticProblem:
     def shapes(self):
         return ((self.A.shape[1],),)
 
-    def f(self, x: ParamVec) -> float:
-        z = self.y * (self.A @ x[0])
+    def f(self, x: ParamVec):
+        z = self.y * _matvec(self.A, x[0])
         # log(1 + exp(-z)) computed stably
-        return float(np.sum(np.logaddexp(0.0, -z)))
+        return trailing_sum(np.logaddexp(0.0, -z), 1)
 
     def grad_f(self, x: ParamVec) -> ParamVec:
-        z = self.y * (self.A @ x[0])
+        z = self.y * _matvec(self.A, x[0])
         s = 1.0 / (1.0 + np.exp(z))  # sigmoid(-z)
-        return ParamVec((self.A.T @ (-self.y * s),), validate=False, copy=False)
+        return x._new((_matvec(self.A.T, -self.y * s),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +99,13 @@ class MatrixQuadraticProblem:
     def shapes(self):
         return ((self.A.shape[1], self.B.shape[0]),)
 
-    def f(self, x: ParamVec) -> float:
+    def f(self, x: ParamVec):
         r = self.A @ x[0] @ self.B - self.C
-        return 0.5 * float(np.vdot(r, r))
+        return 0.5 * trailing_sum(r * r, 2)
 
     def grad_f(self, x: ParamVec) -> ParamVec:
         r = self.A @ x[0] @ self.B - self.C
-        return ParamVec((self.A.T @ r @ self.B.T,), validate=False, copy=False)
+        return x._new((self.A.T @ r @ self.B.T,))
 
 
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,53 +211,88 @@ class NoiseModel:
             return self.sigma / (total_dim * mom) ** (1.0 / self.p_moment)
         return 0.0
 
-    def draw(self, rng: np.random.Generator, shapes) -> ParamVec:
-        shapes = list(shapes)
-        total = sum(int(np.prod(s)) for s in shapes)
-        scale = self.scale_for(total)
-        blocks = []
-        for s in shapes:
-            if self.kind == "gaussian":
-                blocks.append(scale * rng.standard_normal(s))
-            elif self.kind == "student-t":
-                blocks.append(scale * rng.standard_t(self.df, size=s))
-            else:
-                blocks.append(np.zeros(s))
-        return ParamVec(blocks, validate=False, copy=False)
+    def draw(self, rng: np.random.Generator, shapes, tokens: int | None = None) -> ParamVec:
+        """One noise sample, or with ``tokens`` the table of the first ``tokens`` samples.
+
+        Sample k is the k-th run of ``dim`` consecutive draws of ``rng``
+        (standard normal or standard t, times the scale), split into the
+        blocks in order.  The table is ``standard_normal((tokens, dim))`` (or
+        ``standard_t(df, (tokens, dim))``) times the scale, as a batch whose
+        row k is sample k; it is prefix-stable: its first rows do not depend
+        on ``tokens``.
+        """
+        shapes = [tuple(s) for s in shapes]
+        sizes = [int(np.prod(s)) for s in shapes]
+        rows = () if tokens is None else (int(tokens),)
+        size = rows + (sum(sizes),)
+        scale = self.scale_for(sum(sizes))
+        if self.kind == "gaussian":
+            flat = scale * rng.standard_normal(size)
+        elif self.kind == "student-t":
+            flat = scale * rng.standard_t(self.df, size=size)
+        else:
+            flat = np.zeros(size)
+        parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
+        return ParamVec((p.reshape(rows + s) for p, s in zip(parts, shapes)),
+                        validate=False, copy=False, lead=len(rows))
 
 
-def _token_rng(seed: int, token: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(token),)))
+# Noise values an oracle holds at once; a longer table is drawn chunk by chunk.
+_TABLE_FLOATS = 1 << 22
 
 
 class GradientOracle:
     """Unbiased stochastic gradient oracle with token-addressed noise.
 
-    The perturbation depends only on ``(seed, token)``: querying the same
-    token at two points returns gradients whose difference is exact, and the
-    per-sample objective gradient inherits the smoothness of the true one.
-    The last token's noise is kept, so a second query of it draws nothing.
+    Token k's perturbation is row k of the run's noise table, drawn by
+    :meth:`NoiseModel.draw` from ``Generator(Philox(key=seed))``.  It depends
+    only on ``(seed, token)``: querying the same token at two points returns
+    gradients whose difference is exact, and the per-sample objective gradient
+    inherits the smoothness of the true one.  ``seed`` may be a sequence of
+    seeds: the oracle then serves a batch of points, row i with the table of
+    ``seed[i]``.
+
+    The table is drawn ``tokens`` rows at a time (fewer, if that many rows
+    would exceed ``_TABLE_FLOATS`` values), so a run that passes its K+1
+    tokens draws it once.  Each chunk continues the streams where the last
+    one stopped; an earlier token draws them again from the start.  Since the
+    table is prefix-stable, a token's noise does not depend on the chunking.
     """
 
-    __slots__ = ("problem", "noise", "seed", "calls", "_token", "_noise")
+    __slots__ = ("problem", "noise", "seed", "calls", "_seeds", "_rows", "_rngs", "_table",
+                 "_start")
 
-    def __init__(self, problem, noise: NoiseModel, seed: int):
+    def __init__(self, problem, noise: NoiseModel, seed, tokens: int = 64):
         self.problem = problem
         self.noise = noise
-        self.seed = int(seed)
+        self.seed = seed
         self.calls = 0
-        self._token = None
-        self._noise = None
+        self._seeds = list(seed) if np.ndim(seed) else [seed]
+        dim = sum(int(np.prod(s)) for s in problem.shapes)
+        self._rows = max(1, min(int(tokens), _TABLE_FLOATS // (dim * len(self._seeds))))
+        self._rngs, self._table, self._start = None, None, 0
+
+    def _seek(self, token: int) -> None:
+        """Draw the chunk of the table that holds ``token``."""
+        if self._rngs is None or token < self._start:
+            self._rngs = [np.random.Generator(np.random.Philox(key=int(s))) for s in self._seeds]
+            self._start = -self._rows
+        batch = np.ndim(self.seed) > 0
+        while token >= self._start + self._rows:
+            drawn = [self.noise.draw(rng, self.problem.shapes, self._rows) for rng in self._rngs]
+            self._table = [np.stack(parts) if batch else parts[0]
+                           for parts in zip(*(d.blocks for d in drawn))]
+            self._start += self._rows
 
     def perturb(self, g: ParamVec, token: int) -> ParamVec:
-        """One oracle call at a point whose true gradient ``g`` is known."""
+        """One oracle call at a point (or batch) whose true gradient ``g`` is known."""
         self.calls += 1
         if self.noise.kind == "none":
             return g
-        if token != self._token:
-            self._noise = self.noise.draw(_token_rng(self.seed, token), self.problem.shapes)
-            self._token = token
-        return g + self._noise
+        if self._table is None or not self._start <= token < self._start + self._rows:
+            self._seek(token)
+        at = (slice(None),) * g.lead + (token - self._start,)
+        return g + g._new(t[at] for t in self._table)
 
     def sample(self, x: ParamVec, token: int) -> ParamVec:
         return self.perturb(self.problem.grad_f(x), token)

@@ -17,18 +17,25 @@ clamped ``-h'``, and the gap factor nothing.
 
 Tie-breaking is deterministic everywhere: ``sign(0) = +1``, and magnitude ties
 are resolved toward the lowest index.
+
+The tag (or the reference structure) fixes the rank of a block: one trailing
+axis for a vector set, two for a matrix set.  Every step and measure acts on
+those trailing axes only, so a stack of blocks (one leading axis, a batch of
+runs) is handled row by row by the same code.  Where rows branch -- the l2-ball
+bracket and bisection, the l-inf sphere, hard thresholding -- each row follows
+its own path under a mask, and gets the bits it would get on its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, NumericalError
 from .reference import BOUNDARY_MARGIN, Barrier, BlockRef, HyperKappa, ReferenceFn, Structure, lift
-from .tensor import ParamVec, SvdResult, full_svd, singular_values_batch
+from .tensor import ParamVec, SvdResult, full_svd, singular_values_batch, trailing_sum
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +197,8 @@ class ConstraintSpec:
         return self.tags[i]
 
     def block_tags(self, x: ParamVec):
-        return [self.tag(i, len(x)) for i in range(len(x))]
+        n = len(x)
+        return [self.tags[0]] * n if self.broadcast else [self.tag(i, n) for i in range(n)]
 
     def validate_for(self, shapes) -> None:
         shapes = list(shapes)
@@ -218,28 +226,29 @@ def _sign(y: np.ndarray) -> np.ndarray:
     return np.where(y >= 0.0, 1.0, -1.0)
 
 
-def _clip_inf(y: np.ndarray, r: float) -> np.ndarray:
-    return np.clip(y, -r, r)
+def _sumsq(y: np.ndarray) -> np.ndarray:
+    return trailing_sum(y * y, 1)
 
 
 def _linf_sphere(y: np.ndarray, r: float) -> np.ndarray:
-    if np.abs(y).max() >= r:
-        return _clip_inf(y, r)
-    j = int(np.argmax(np.abs(y)))  # lowest index on ties
-    out = y.copy()
-    out[j] = r if y[j] >= 0.0 else -r
+    # Clip; a row whose largest |y_j| (lowest j on ties) is below r moves that
+    # coordinate out to the sphere.
+    j = np.argmax(np.abs(y), axis=-1)[..., None]
+    yj = np.take_along_axis(y, j, -1)
+    out = np.clip(y, -r, r)
+    np.put_along_axis(out, j, np.where(np.abs(yj) >= r, np.take_along_axis(out, j, -1),
+                                       np.where(yj >= 0.0, r, -r)), -1)
     return out
 
 
 def _hard_threshold(y: np.ndarray, s: int) -> np.ndarray:
-    order = np.argsort(-np.abs(y), kind="stable")
+    keep = np.argsort(-np.abs(y), axis=-1, kind="stable")[..., :s]
     out = np.zeros_like(y)
-    keep = order[:s]
-    out[keep] = y[keep]
+    np.put_along_axis(out, keep, np.take_along_axis(y, keep, -1), -1)
     return out
 
 
-def _l2_root_barrier(y_abs: np.ndarray, lam: float, gamma: float, eps: float) -> np.ndarray:
+def _l2_root_barrier(y_abs: np.ndarray, lam, gamma: float, eps: float) -> np.ndarray:
     """Positive root of x + gamma*(2*lam*x)/(eps + 2*lam*x) = y, coordinatewise."""
     a = eps + 2.0 * gamma * lam - 2.0 * y_abs * lam
     b = 8.0 * lam * eps * y_abs
@@ -249,7 +258,7 @@ def _l2_root_barrier(y_abs: np.ndarray, lam: float, gamma: float, eps: float) ->
     return num / (4.0 * lam)
 
 
-def _l2_root_generic(y_abs: np.ndarray, lam: float, gamma: float, scalar) -> np.ndarray:
+def _l2_root_generic(y_abs: np.ndarray, lam, gamma: float, scalar) -> np.ndarray:
     """Solve x + gamma*h*'(2*lam*x) = y for x in [0, y] by bisection."""
     lo = np.zeros_like(y_abs)
     hi = y_abs.copy()
@@ -263,62 +272,72 @@ def _l2_root_generic(y_abs: np.ndarray, lam: float, gamma: float, scalar) -> np.
 
 
 def _l2_ball_aniso(y: np.ndarray, r: float, scalar, gamma: float) -> np.ndarray:
-    ny = math.sqrt(float(y @ y))
-    if ny <= r:
-        return y.copy()
-    y_abs = np.abs(y)
-    sgn = _sign(y)
+    """Each row outside the ball: bisection on the multiplier lambda of ||x|| = r.
+
+    The bracket doubling and the bisection run on the rows that still need
+    them, each row with its own lambda, so a row's path does not depend on
+    the others.
+    """
+    Y = y.reshape(-1, y.shape[-1])
+    out = Y.copy()
+    ny = np.sqrt(_sumsq(Y))
+    rows = np.flatnonzero(ny > r)
+    if not rows.size:
+        return out.reshape(y.shape)
+    y_abs = np.abs(Y[rows])
     # The root x(lambda) saturates coordinatewise at |y_i| - gamma; if even the
     # saturated point lies outside the ball, no feasible point has finite
     # transport cost and the backward step is ill-posed for this input.
     saturated = np.maximum(y_abs - gamma, 0.0)
-    if float(saturated @ saturated) >= r * r:
+    unreachable = np.flatnonzero(_sumsq(saturated) >= r * r)
+    if unreachable.size:
         raise NumericalError(
             f"l2-ball unreachable: every feasible point is farther than gamma={gamma:.3e} "
-            f"in some coordinate (|y|={ny:.3e}, r={r:.3e})"
+            f"in some coordinate (|y|={ny[rows[unreachable[0]]]:.3e}, r={r:.3e})"
         )
     closed_form = isinstance(scalar, Barrier) or (
         isinstance(scalar, HyperKappa) and scalar.kappa == 1.0
     )
-    eps = scalar.epsilon
 
-    def x_of(lam: float) -> np.ndarray:
+    def root(i: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x(lambda) of rows i and its residual ||x||^2 - r^2."""
         if closed_form:
-            return _l2_root_barrier(y_abs, lam, gamma, eps)
-        return _l2_root_generic(y_abs, lam, gamma, scalar)
-
-    def residual(lam: float) -> float:
-        if lam == 0.0:
-            return ny * ny - r * r
-        x = x_of(lam)
-        return float(x @ x) - r * r
+            x = _l2_root_barrier(y_abs[i], lam[:, None], gamma, scalar.epsilon)
+        else:
+            x = _l2_root_generic(y_abs[i], lam[:, None], gamma, scalar)
+        return x, _sumsq(x) - r * r
 
     tol = 1e-12 * r * r
-    lam_lo, lam_hi = 0.0, 1.0
-    res_hi = residual(lam_hi)
-    doublings = 0
-    while res_hi > 0.0:
-        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
-        res_hi = residual(lam_hi)
-        doublings += 1
-        if doublings > 200:
-            raise NumericalError(
-                f"l2-ball bracket search failed: residual {res_hi:.3e} at lambda {lam_hi:.3e} "
-                f"(|y|={ny:.3e}, r={r:.3e}, gamma={gamma:.3e})"
-            )
-    lam = lam_hi
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    grow = np.arange(rows.size)
+    for _ in range(201):
+        grow = grow[root(grow, hi[grow])[1] > 0.0]
+        if not grow.size:
+            break
+        lo[grow], hi[grow] = hi[grow], 2.0 * hi[grow]
+    else:
+        raise NumericalError(
+            f"l2-ball bracket search failed at lambda {hi[grow[0]]:.3e} "
+            f"(|y|={ny[rows[grow[0]]]:.3e}, r={r:.3e}, gamma={gamma:.3e})"
+        )
+    x_rows = np.empty_like(y_abs)
+    active = np.arange(rows.size)
     for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        res = residual(lam)
-        if abs(res) <= tol:
-            return sgn * x_of(lam)
-        if res > 0.0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
+        lam = 0.5 * (lo[active] + hi[active])
+        x, res = root(active, lam)
+        done = np.abs(res) <= tol
+        x_rows[active[done]] = x[done]
+        high = res > 0.0
+        lo[active[high]] = lam[high]
+        hi[active[~high]] = lam[~high]
+        active = active[~done]
+        if not active.size:
+            out[rows] = _sign(Y[rows]) * x_rows
+            return out.reshape(y.shape)
+    i = active[0]
     raise NumericalError(
         f"l2-ball bisection failed to reach |residual| <= {tol:.3e}: "
-        f"residual {res:.3e}, bracket [{lam_lo:.6e}, {lam_hi:.6e}], |y|={ny:.3e}, r={r:.3e}"
+        f"bracket [{lo[i]:.6e}, {hi[i]:.6e}], |y|={ny[rows[i]]:.3e}, r={r:.3e}"
     )
 
 
@@ -328,12 +347,11 @@ def _euclidean_projection(tag, y: np.ndarray) -> np.ndarray:
     if isinstance(tag, SignSet):
         return tag.radius * _sign(y)
     if isinstance(tag, L2Ball):
-        ny = math.sqrt(float(y @ y))
-        if ny <= tag.radius:
-            return y.copy()
-        return (tag.radius / ny) * y
+        ny = np.sqrt(_sumsq(y))[..., None]
+        with np.errstate(divide="ignore"):
+            return np.where(ny <= tag.radius, 1.0, tag.radius / ny) * y
     if isinstance(tag, LinfBall):
-        return _clip_inf(y, tag.radius)
+        return np.clip(y, -tag.radius, tag.radius)
     if isinstance(tag, LinfSphere):
         return _linf_sphere(y, tag.radius)
     if isinstance(tag, HardThreshold):
@@ -341,10 +359,10 @@ def _euclidean_projection(tag, y: np.ndarray) -> np.ndarray:
     raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
 
 
-def _checked(y, ndim: int, name: str, gamma: float) -> np.ndarray:
+def _checked(y, rank: int, name: str, gamma: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if y.ndim != ndim:
-        raise InvalidInputError(f"{name} expects a {ndim}-d block")
+    if y.ndim < rank:
+        raise InvalidInputError(f"{name} expects a {rank}-d block or a stack of them")
     if not np.isfinite(y).all():
         raise InvalidInputError(f"{name}: non-finite input")
     if gamma <= 0.0:
@@ -358,11 +376,12 @@ def prox_vector(tag, ref, y, gamma: float) -> np.ndarray:
     ``ref`` must be an ISO or ANISO reference (a single-entry
     :class:`~specprox.reference.ReferenceFn` or a ``BlockRef``).  With an ISO
     reference every closed set reduces to the Euclidean projection; with an
-    ANISO reference the closed forms and the l2-ball bisection apply.
+    ANISO reference the closed forms and the l2-ball bisection apply.  A 2-d
+    ``y`` is a stack of vectors, stepped row by row.
     """
     y = _checked(y, 1, "prox_vector", gamma)
     e = _as_entry(ref)
-    _validate_tag(tag, y.shape)
+    _validate_tag(tag, y.shape[-1:])
     if e.structure is Structure.ISO:
         return _euclidean_projection(tag, y)
     if e.structure is not Structure.ANISO:
@@ -380,11 +399,15 @@ def _matrix_step(tag, ref, Y, gamma: float):
     e = _as_entry(ref)
     if not e.structure.is_spectral:
         raise InvalidSpecError("prox_matrix needs a spectral reference")
-    _validate_tag(tag, Y.shape)
+    _validate_tag(tag, Y.shape[-2:])
     aniso = e.structure is Structure.SPECTRAL_ANISO
     if isinstance(tag, Zero):  # z = 0, so any basis will do
-        m, n = Y.shape
-        return Y.copy(), SvdResult(np.eye(m), np.zeros(min(m, n)), np.eye(n)) if aniso else None
+        if not aniso:
+            return Y.copy(), None
+        lead, (m, n) = Y.shape[:-2], Y.shape[-2:]
+        return Y.copy(), SvdResult(np.broadcast_to(np.eye(m), lead + (m, m)),
+                                   np.zeros(lead + (min(m, n),)),
+                                   np.broadcast_to(np.eye(n), lead + (n, n)))
     res = full_svd(Y)
     vec_structure = Structure.ANISO if aniso else Structure.ISO
     p = prox_vector(_sigma_tag(tag), BlockRef(vec_structure, e.scalar), res.sigma, gamma)
@@ -396,23 +419,28 @@ def prox_matrix(tag, ref, Y, gamma: float) -> np.ndarray:
     """Backward step on a matrix block via reduction to the singular values.
 
     Computes a full SVD of ``Y``, applies the corresponding vector backward
-    step to ``sigma(Y)``, and reassembles with the same singular vectors.
+    step to ``sigma(Y)``, and reassembles with the same singular vectors.  A
+    3-d ``Y`` is a stack of matrices, stepped matrix by matrix.
     """
     return _matrix_step(tag, ref, Y, gamma)[0]
 
 
 def backward_step(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec,
                   gamma: float) -> tuple[ParamVec, ParamVec]:
-    """Blockwise ``(x_next, (x_next - y)/gamma)``; spectral-aniso moves come factored."""
+    """Blockwise ``(x_next, (x_next - y)/gamma)``; spectral-aniso moves come factored.
+
+    ``y`` may be a batch; the reference structure says whether a block is a
+    vector or a matrix.
+    """
     xs, zs = [], []
     for tag, e, b in zip(spec.block_tags(y), ref.block_entries(y), y.blocks):
-        if b.ndim == 2:
+        if e.structure.is_spectral:
             x, z = _matrix_step(tag, e, b, gamma)
         else:
             x, z = prox_vector(tag, e, b, gamma), None
         xs.append(x)
         zs.append((x - b) * (1.0 / gamma) if z is None else z)
-    return ParamVec(xs, validate=False, copy=False), ParamVec(zs, validate=False, copy=False)
+    return y._new(xs), y._new(zs)
 
 
 def prox(spec: ConstraintSpec, ref: ReferenceFn, y: ParamVec, gamma: float) -> ParamVec:
@@ -440,37 +468,38 @@ def recover_subgradient(x_next: ParamVec, y: ParamVec, gamma: float, ref: Refere
     if z is None:
         z = (x_next - y) * (1.0 / gamma)
     limit = 1.0 - BOUNDARY_MARGIN
-    return ParamVec(
-        (lift(e, b, lambda t: -e.scalar.h_prime(np.clip(t, -limit, limit)))
-         for e, b in zip(ref.block_entries(z), z.blocks)),
-        validate=False, copy=False,
-    )
+    return z._new(lift(e, b, lambda t: -e.scalar.h_prime(np.clip(t, -limit, limit)))
+                  for e, b in zip(ref.block_entries(z), z.blocks))
 
 
-def _feasibility_block(tag, x: np.ndarray) -> float:
+def _feasibility_block(tag, x: np.ndarray, rank: int):
+    """Violation of one block (per row of a stack); ``rank`` is the block's own ndim."""
     if isinstance(tag, Zero):
         return 0.0
-    if x.ndim == 2:
-        tag, x = _sigma_tag(tag), singular_values_batch(x[None])[0]
+    if rank == 2 and isinstance(tag, MATRIX_TAGS):
+        tag, x = _sigma_tag(tag), singular_values_batch(x)
+    elif rank != 1 or not isinstance(tag, VECTOR_TAGS):
+        raise InvalidSpecError(f"{type(tag).__name__} cannot constrain a {rank}-d block")
+    a = np.abs(x)
     if isinstance(tag, SignSet):
-        return float(np.abs(np.abs(x) - tag.radius).max())
+        return np.abs(a - tag.radius).max(axis=-1)
     if isinstance(tag, L2Ball):
-        return max(0.0, math.sqrt(float(x @ x)) - tag.radius)
+        return np.maximum(0.0, np.sqrt(_sumsq(x)) - tag.radius)
     if isinstance(tag, LinfBall):
-        return max(0.0, float(np.abs(x).max()) - tag.radius)
+        return np.maximum(0.0, a.max(axis=-1) - tag.radius)
     if isinstance(tag, LinfSphere):
-        return abs(float(np.abs(x).max()) - tag.radius)
+        return np.abs(a.max(axis=-1) - tag.radius)
     if isinstance(tag, HardThreshold):
-        mags = np.sort(np.abs(x))[::-1]
-        return float(mags[tag.sparsity]) if mags.size > tag.sparsity else 0.0
+        if a.shape[-1] <= tag.sparsity:
+            return np.zeros(a.shape[:-1])
+        return -np.sort(-a, axis=-1)[..., tag.sparsity]
     raise InvalidSpecError(f"unsupported vector tag {type(tag).__name__}")
 
 
-def feasibility_error(spec: ConstraintSpec, x: ParamVec) -> float:
-    """Largest blockwise violation of the constraint set (0 when feasible)."""
-    return max(
-        _feasibility_block(tag, b) for tag, b in zip(spec.block_tags(x), x.blocks)
-    )
+def feasibility_error(spec: ConstraintSpec, x: ParamVec):
+    """Largest blockwise violation of the constraint set (0 when feasible); one value per row."""
+    return reduce(np.maximum, (_feasibility_block(tag, b, b.ndim - x.lead)
+                               for tag, b in zip(spec.block_tags(x), x.blocks)))
 
 
 def _vector_start(tag, n: int) -> np.ndarray:

@@ -28,6 +28,11 @@ values.  :func:`precondition` and :func:`grad_phi` are lifts of ``h*'`` and
 ``h'``; :func:`phi` and :func:`phi_star` sum ``h`` and ``h*`` over the same
 lifted arguments (sigma only).  A block factored in the backward step's basis
 (an :class:`~specprox.tensor.SvdResult`) is lifted without factoring.
+
+The structure fixes the rank of a block: one trailing axis for ISO and ANISO,
+two for the spectral structures.  Every lift and sum acts on those trailing
+axes only, so a batch of blocks (one leading axis) is lifted row by row with
+the same code, and each value of :func:`phi` or :func:`phi_star` comes per row.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import BoundaryError, InvalidConfigError, InvalidInputError
-from .tensor import ParamVec, SvdResult, dense, dot, full_svd, singular_values_batch
+from .tensor import ParamVec, SvdResult, dense, dot, full_svd, singular_values_batch, trailing_sum
 
 BOUNDARY_MARGIN = 1e-12
 
@@ -61,6 +66,11 @@ class Structure(Enum):
     @property
     def is_spectral(self) -> bool:
         return self in (Structure.SPECTRAL_ISO, Structure.SPECTRAL_ANISO)
+
+    @property
+    def rank(self) -> int:
+        """Number of trailing axes of a block: 2 for matrices, 1 for vectors."""
+        return 2 if self.is_spectral else 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +304,8 @@ class ReferenceFn:
         return self.entries[i]
 
     def block_entries(self, x: ParamVec) -> list[BlockRef]:
-        return [self.entry(i, len(x)) for i in range(len(x))]
+        n = len(x)
+        return [self.entries[0]] * n if self.broadcast else [self.entry(i, n) for i in range(n)]
 
     def block_domain_radii(self, shapes) -> list[float]:
         """Per-block sup of the block norm over the block domain."""
@@ -302,7 +313,7 @@ class ReferenceFn:
         out = []
         for i, shape in enumerate(shapes):
             s = self.entry(i, len(shapes)).structure
-            if len(shape) != (2 if s.is_spectral else 1):
+            if len(shape) != s.rank:
                 kind = "matrix" if s.is_spectral else "vector"
                 raise InvalidConfigError(f"{s.name} applies to {kind} blocks")
             # A lifted argument is a coordinate or singular value (at most 1
@@ -313,7 +324,8 @@ class ReferenceFn:
 
     def domain_radius(self, x_or_shapes) -> float:
         """sup of the product-space norm over the domain of phi."""
-        shapes = x_or_shapes.shapes if isinstance(x_or_shapes, ParamVec) else x_or_shapes
+        shapes = ([b.shape[x_or_shapes.lead:] for b in x_or_shapes.blocks]
+                  if isinstance(x_or_shapes, ParamVec) else x_or_shapes)
         return math.sqrt(sum(r * r for r in self.block_domain_radii(shapes)))
 
 
@@ -326,6 +338,11 @@ def _require_finite(x: ParamVec) -> None:
 # -- the structure lift ------------------------------------------------------
 
 
+def _norm(e: BlockRef, x: np.ndarray) -> np.ndarray:
+    """Euclidean (Frobenius) norm over the block's trailing axes."""
+    return np.sqrt(trailing_sum(x * x, e.structure.rank))
+
+
 def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
     """Apply the scalar map ``f`` to a block through the block's structure.
 
@@ -334,7 +351,7 @@ def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
     vectors kept (SPECTRAL_ANISO).  This is the gradient rule for every lifted
     function: the gradient of ``F(X) = sum_i h(sigma_i(X))`` is
     ``U diag(h'(sigma)) V^T``.  A factored block ``(U, s, V)`` gives
-    ``(U, f(s), V)`` (``f`` odd).
+    ``(U, f(s), V)`` (``f`` odd).  A stack of blocks is lifted block by block.
     """
     if e.structure is Structure.ANISO:
         return f(x)
@@ -343,20 +360,19 @@ def lift(e: BlockRef, x: np.ndarray, f) -> np.ndarray:
             return SvdResult(x.U, f(x.sigma), x.V)
         res = full_svd(x)
         return res.reconstruct(f(res.sigma))
-    nx = math.sqrt(float(np.vdot(x, x)))
-    if nx == 0.0:
-        return np.zeros_like(x)
-    return (f(nx) / nx) * x
+    nx = _norm(e, x).reshape(x.shape[:x.ndim - e.structure.rank] + (1,) * e.structure.rank)
+    scale = np.divide(f(nx), nx, out=np.zeros_like(nx), where=nx > 0.0)
+    return scale * x
 
 
-def _lift_sum(e: BlockRef, x: np.ndarray, f) -> float:
+def _lift_sum(e: BlockRef, x: np.ndarray, f):
     """Value of the lifted function: ``f`` (even) summed over the arguments :func:`lift` uses."""
     if e.structure is Structure.ANISO:
-        return float(np.sum(f(x)))
+        return trailing_sum(f(x), 1)
     if e.structure is Structure.SPECTRAL_ANISO:
-        sigma = x.sigma if isinstance(x, SvdResult) else singular_values_batch(x[None])[0]
-        return float(np.sum(f(sigma)))
-    return float(f(math.sqrt(float(np.vdot(x, x)))))
+        sigma = x.sigma if isinstance(x, SvdResult) else singular_values_batch(x)
+        return trailing_sum(f(sigma), 1)
+    return f(_norm(e, x))
 
 
 # -- forward preconditioner --------------------------------------------------
@@ -369,23 +385,20 @@ def precondition(ref: ReferenceFn, d: ParamVec) -> ParamVec:
     strictly inside the block domain.
     """
     _require_finite(d)
-    return ParamVec(
-        (lift(e, b, e.scalar.h_star_prime) for e, b in zip(ref.block_entries(d), d.blocks)),
-        validate=False, copy=False,
-    )
+    return d._new(lift(e, b, e.scalar.h_star_prime) for e, b in zip(ref.block_entries(d), d.blocks))
 
 
 # -- primal and conjugate values ---------------------------------------------
 
 
-def phi(ref: ReferenceFn, x: ParamVec) -> float:
-    """Value of the reference function; +inf outside its domain."""
+def phi(ref: ReferenceFn, x: ParamVec):
+    """Value of the reference function; +inf outside its domain.  One value per row of a batch."""
     _require_finite(x)
     return sum(_lift_sum(e, b, e.scalar.h) for e, b in zip(ref.block_entries(x), x.blocks))
 
 
-def phi_star(ref: ReferenceFn, y: ParamVec) -> float:
-    """Convex conjugate of phi; finite, nonnegative, even, zero at zero."""
+def phi_star(ref: ReferenceFn, y: ParamVec):
+    """Convex conjugate of phi; finite, nonnegative, even, zero at zero.  One value per row."""
     _require_finite(y)
     return sum(_lift_sum(e, b, e.scalar.h_star) for e, b in zip(ref.block_entries(y), y.blocks))
 
@@ -408,14 +421,11 @@ def grad_phi(ref: ReferenceFn, x: ParamVec) -> ParamVec:
     :class:`BoundaryError`.
     """
     _require_finite(x)
-    return ParamVec(
-        (lift(e, b, lambda t: _h_prime_inside(e, t))
-         for e, b in zip(ref.block_entries(x), x.blocks)),
-        validate=False, copy=False,
-    )
+    return x._new(lift(e, b, lambda t: _h_prime_inside(e, t))
+                  for e, b in zip(ref.block_entries(x), x.blocks))
 
 
-def bregman_dual(ref: ReferenceFn, a: ParamVec, b: ParamVec) -> float:
+def bregman_dual(ref: ReferenceFn, a: ParamVec, b: ParamVec):
     """Bregman divergence of the conjugate: D_{phi*}(a, b).
 
     Nonnegative and zero exactly at a = b, by strict convexity of phi*.  ``b``

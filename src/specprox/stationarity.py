@@ -40,12 +40,12 @@ def aniso_moreau_env(spec: ConstraintSpec, ref: ReferenceFn, gamma: float, y: Pa
 
 def regularized_gap(spec: ConstraintSpec, ref: ReferenceFn, gamma: float,
                     x: ParamVec, grad_f: ParamVec) -> float:
-    """Regularized gap at a feasible point.
+    """Regularized gap at a feasible point (one value per row of a batch).
 
     (1/gamma)*[g(x) + gamma*phi(w) - env(x - gamma*w)] with
     w = precondition(grad_f); nonnegative, zero at stationary points.
     """
-    if feasibility_error(spec, x) > FEASIBILITY_TOL:
+    if np.any(feasibility_error(spec, x) > FEASIBILITY_TOL):
         raise InvalidInputError("regularized_gap needs a feasible point")
     w = precondition(ref, grad_f)
     y = x - gamma * w

@@ -3,14 +3,17 @@
 A parameter lives in a product space ``E = E_1 x ... x E_N`` whose factors are
 real vector or matrix blocks.  :class:`ParamVec` is an immutable-by-convention
 ordered tuple of such blocks; all arithmetic is blockwise and requires exactly
-matching shapes.
+matching shapes.  A ParamVec is one point, or a batch of R points whose blocks
+carry one leading axis: (R, n) vectors and (R, m, n) matrices.  Every
+reduction runs over a block's trailing axes only, in a fixed order, so row i
+of a batch gets the same bits as the point on its own.
 
 ``full_svd`` and ``singular_values_batch`` share one one-sided Jacobi kernel.
 It is deliberately self-contained: the exact power-of-two prescale (which
 keeps it right at every finite float64 scale), the round-robin pair order, the
 threshold ``big * eps``, the orthonormal completion and the sign convention
 are all fixed, so a given input always produces bit-identical factors, which
-is what makes traces replayable.
+is what makes traces replayable.  Both take a matrix or a stack of them.
 """
 
 from __future__ import annotations
@@ -30,10 +33,20 @@ _MAX_SWEEPS = 60
 _ROTATION_SIGNS = np.array([-1.0, 1.0])[:, None, None]  # p <- c (p - t q), q <- c (q + t p)
 
 
-def _as_block(a) -> np.ndarray:
+def trailing_sum(a: np.ndarray, rank: int) -> np.ndarray:
+    """Sum of ``a`` over its last ``rank`` axes, one value per leading index.
+
+    The axes are flattened in C order and summed pairwise along one contiguous
+    axis, so each row's sum does not depend on the other rows.
+    """
+    return np.add.reduce(a.reshape(a.shape[:a.ndim - rank] + (-1,)), axis=-1)
+
+
+def _as_block(a, lead: int) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise InvalidInputError(f"blocks must be 1-d or 2-d arrays, got ndim={arr.ndim}")
+    if arr.ndim - lead not in (1, 2):
+        raise InvalidInputError(
+            f"blocks must be 1-d or 2-d arrays after {lead} batch axes, got ndim={arr.ndim}")
     if arr.size == 0 or min(arr.shape) < 1:
         raise InvalidInputError("blocks must have strictly positive dimensions")
     return arr
@@ -45,19 +58,23 @@ class ParamVec:
     Parameters
     ----------
     blocks : iterable of array-like
-        1-d arrays are vector blocks, 2-d arrays matrix blocks.
+        1-d arrays are vector blocks, 2-d arrays matrix blocks (after the
+        batch axes).
     validate : bool
         Check dimensions and finiteness.  Internal arithmetic skips the check
         for speed; anything user-facing validates.
     copy : bool
         Copy the underlying arrays so the value cannot be mutated from outside.
+    lead : int
+        Number of leading batch axes on every block: 0 for a point, 1 for a
+        batch whose row i is the point :meth:`row` ``(i)``.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "lead")
 
-    def __init__(self, blocks, *, validate: bool = True, copy: bool = True):
+    def __init__(self, blocks, *, validate: bool = True, copy: bool = True, lead: int = 0):
         if validate:
-            blocks = tuple(_as_block(b) for b in blocks)
+            blocks = tuple(_as_block(b, lead) for b in blocks)
             if not blocks:
                 raise InvalidInputError("ParamVec needs at least one block")
             for b in blocks:
@@ -68,6 +85,7 @@ class ParamVec:
         if copy:
             blocks = tuple(np.array(b, dtype=float) for b in blocks)
         self.blocks = blocks
+        self.lead = lead
 
     # -- basic protocol ------------------------------------------------------
 
@@ -81,14 +99,18 @@ class ParamVec:
         return self.blocks[i]
 
     def __repr__(self) -> str:
-        return f"ParamVec(shapes={self.shapes})"
+        return f"ParamVec(shapes={self.shapes}, lead={self.lead})"
 
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(b.shape for b in self.blocks)
 
     def copy(self) -> "ParamVec":
-        return ParamVec(self.blocks, validate=False, copy=True)
+        return ParamVec(self.blocks, validate=False, copy=True, lead=self.lead)
+
+    def row(self, i: int) -> "ParamVec":
+        """Point i of a batch."""
+        return ParamVec((b[i] for b in self.blocks), validate=False, copy=False)
 
     def conformable(self, other: "ParamVec") -> bool:
         return self.shapes == other.shapes
@@ -99,25 +121,26 @@ class ParamVec:
                 f"block shapes differ: {self.shapes} vs {other.shapes}"
             )
 
+    def _new(self, blocks) -> "ParamVec":
+        return ParamVec(blocks, validate=False, copy=False, lead=self.lead)
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "ParamVec") -> "ParamVec":
         self._require_conformable(other)
-        return ParamVec(
-            (a + b for a, b in zip(self.blocks, other.blocks)),
-            validate=False, copy=False,
-        )
+        return self._new(a + b for a, b in zip(self.blocks, other.blocks))
 
     def __sub__(self, other: "ParamVec") -> "ParamVec":
         self._require_conformable(other)
-        return ParamVec(
-            (a - b for a, b in zip(self.blocks, other.blocks)),
-            validate=False, copy=False,
-        )
+        return self._new(a - b for a, b in zip(self.blocks, other.blocks))
 
-    def __mul__(self, a: float) -> "ParamVec":
+    def __mul__(self, a) -> "ParamVec":
+        """Scalar multiple; a batch also takes one factor per row, an (R,) array."""
+        if np.ndim(a):
+            return self._new(a.reshape(a.shape + (1,) * (b.ndim - a.ndim)) * b
+                             for b in self.blocks)
         a = float(a)
-        return ParamVec((a * b for b in self.blocks), validate=False, copy=False)
+        return self._new(a * b for b in self.blocks)
 
     __rmul__ = __mul__
 
@@ -137,21 +160,18 @@ def axpy(a: float, x: ParamVec, y: ParamVec) -> ParamVec:
     """a*x + y, blockwise."""
     x._require_conformable(y)
     a = float(a)
-    return ParamVec(
-        (a * bx + by for bx, by in zip(x.blocks, y.blocks)),
-        validate=False, copy=False,
-    )
+    return x._new(a * bx + by for bx, by in zip(x.blocks, y.blocks))
 
 
-def dot(x: ParamVec, y: ParamVec) -> float:
-    """Euclidean inner product of the product space."""
+def dot(x: ParamVec, y: ParamVec):
+    """Euclidean inner product of the product space; one value per row of a batch."""
     x._require_conformable(y)
-    return float(sum(np.vdot(bx, by) for bx, by in zip(x.blocks, y.blocks)))
+    return sum(trailing_sum(bx * by, bx.ndim - x.lead) for bx, by in zip(x.blocks, y.blocks))
 
 
-def norm2(x: ParamVec) -> float:
-    """Product-space Euclidean norm (Frobenius on matrix blocks)."""
-    return math.sqrt(sum(float(np.vdot(b, b)) for b in x.blocks))
+def norm2(x: ParamVec):
+    """Product-space Euclidean norm (Frobenius on matrix blocks); one value per row of a batch."""
+    return np.sqrt(sum(trailing_sum(b * b, b.ndim - x.lead) for b in x.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +186,7 @@ class SvdResult:
     ``U`` is m-by-m orthogonal, ``V`` is n-by-n orthogonal and ``sigma`` holds
     the ``min(m, n)`` singular values in nonincreasing order (in a factored
     block, a signed, unsorted diagonal).  Columns for zero sigma are retained.
+    A stack carries the same leading axes on all three.
     """
 
     U: np.ndarray
@@ -176,8 +197,8 @@ class SvdResult:
         """``U @ Diag(sigma) @ V.T`` with these singular vectors (default: ``self.sigma``)."""
         if sigma is None:
             sigma = self.sigma
-        q = sigma.size
-        return (self.U[:, :q] * sigma) @ self.V[:, :q].T
+        q = sigma.shape[-1]
+        return (self.U[..., :q] * sigma[..., None, :]) @ np.swapaxes(self.V[..., :q], -1, -2)
 
     def __rmul__(self, a: float) -> "SvdResult":
         return SvdResult(self.U, a * self.sigma, self.V)
@@ -185,8 +206,7 @@ class SvdResult:
 
 def dense(x: ParamVec) -> ParamVec:
     """``x`` with every factored block (an :class:`SvdResult`) reassembled."""
-    return ParamVec((b.reconstruct() if isinstance(b, SvdResult) else b for b in x.blocks),
-                    validate=False, copy=False)
+    return x._new(b.reconstruct() if isinstance(b, SvdResult) else b for b in x.blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,56 +332,67 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray, q: int) -> None:
             V[:, j] = -V[:, j]
 
 
+def _stack(M, name: str) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """A finite matrix or stack (..., m, n) as an (N, big, small) copy for :func:`_jacobi`,
+    with the leading shape and whether each matrix was transposed."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim < 2 or A.size == 0:
+        raise InvalidInputError(f"{name} expects a matrix or a stack of matrices, "
+                                f"with positive dimensions")
+    if not np.isfinite(A).all():
+        raise InvalidInputError(f"{name}: non-finite entries")
+    m, n = A.shape[-2:]
+    transposed = m < n
+    if transposed:
+        A = np.swapaxes(A, -1, -2)
+    return A.reshape((-1,) + A.shape[-2:]).copy(), A.shape[:-2], transposed
+
+
 def full_svd(M) -> SvdResult:
     """Full SVD of a real matrix via one-sided Jacobi on the smaller dimension.
 
     Deterministic: exact power-of-two prescale, fixed round-robin sweep order,
     stable nonincreasing sort of the singular values, and a fixed sign
     convention on the singular vectors.  Right at every finite input scale.
+    A stack (..., m, n) is factored as one Jacobi stack; matrix i of it gets
+    the bits of its own call.
 
     Raises
     ------
     InvalidInputError
-        If the input is not a finite 2-d array.
+        If the input is not a finite matrix or stack of matrices.
     """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or min(A.shape) < 1:
-        raise InvalidInputError("full_svd expects a 2-d matrix with positive dimensions")
-    if not np.isfinite(A).all():
-        raise InvalidInputError("full_svd: non-finite entries")
-    m, n = A.shape
-    transposed = m < n
-    B = (A.T if transposed else A)[None].copy()
+    B, lead, transposed = _stack(M, "full_svd")
     big, small = B.shape[1:]
-    W = np.eye(small)[None]
+    m, n = (small, big) if transposed else (big, small)
+    W = np.repeat(np.eye(small)[None], B.shape[0], axis=0)
     scaled, e = _jacobi(B, W)
-    order = np.argsort(-scaled[0], kind="stable")
-    scaled = scaled[0, order]
-    left = _complete_orthonormal(B[0][:, order], scaled, big)
-    W = W[0][:, order]
-    if transposed:
-        U, V = W, left
-    else:
-        U, V = left, W
-    _apply_sign_convention(U, V, small)
-    return SvdResult(U=U, sigma=np.ldexp(scaled, e[0]), V=V)
+    Us, sigmas, Vs = [], [], []
+    for i in range(B.shape[0]):
+        order = np.argsort(-scaled[i], kind="stable")
+        s = scaled[i, order]
+        left = _complete_orthonormal(B[i][:, order], s, big)
+        right = W[i][:, order]
+        U, V = (right, left) if transposed else (left, right)
+        _apply_sign_convention(U, V, small)
+        Us.append(U)
+        sigmas.append(np.ldexp(s, e[i]))
+        Vs.append(V)
+    return SvdResult(U=np.stack(Us).reshape(lead + (m, m)),
+                     sigma=np.stack(sigmas).reshape(lead + (small,)),
+                     V=np.stack(Vs).reshape(lead + (n, n)))
 
 
 def singular_values_batch(stack) -> np.ndarray:
-    """Singular values of a stack of same-shaped matrices, batched Jacobi.
+    """Singular values of a matrix, or of each matrix of a stack (..., m, n), batched Jacobi.
 
     The rotation schedule is data-independent, so all matrices in the stack
     are swept simultaneously with vectorized column rotations; this is the
     fast path for property tests that need thousands of small spectra.  Row i
     equals ``full_svd(stack[i]).sigma`` bit for bit.
     """
-    A = np.asarray(stack, dtype=float)
-    if A.ndim != 3:
-        raise InvalidInputError("singular_values_batch expects an (N, m, n) stack")
-    if not np.isfinite(A).all():
-        raise InvalidInputError("singular_values_batch: non-finite entries")
-    B = np.transpose(A, (0, 2, 1)).copy() if A.shape[1] < A.shape[2] else A.copy()
+    B, lead, _ = _stack(stack, "singular_values_batch")
     scaled, e = _jacobi(B)
     sigma = np.ldexp(scaled, e[:, None])
     sigma.sort(axis=1)
-    return sigma[:, ::-1]
+    return sigma[:, ::-1].reshape(lead + B.shape[-1:])

@@ -8,13 +8,14 @@ they run in seconds and gate a fresh checkout.  Each check prints one
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import oracle
-from .harness import (MODES, ExperimentConfig, build_constraint, build_reference, execute,
-                      traces_to_csv)
-from .optimizer import step
+from .harness import (MODES, ExperimentConfig, build_constraint, build_reference, build_run,
+                      execute, traces_to_csv)
+from .optimizer import run, step
 from .polar import DEFAULT_SCHEDULE, fit_report, load_schedule
 from .prox import (HardThreshold, L2Ball, LinfBall, LinfSphere, SignSet, feasible_start,
                    prox_vector, recover_subgradient)
@@ -148,15 +149,24 @@ def check_polar_fit() -> tuple[bool, str]:
 
 
 def check_replay_determinism() -> tuple[bool, str]:
+    """Per mode: the same bytes twice, and each repetition equal to its seed's single run."""
     differ = []
     for mode in MODES:
         cfg = ExperimentConfig(problem="quadratic", n=6, noise="gaussian", sigma=0.5,
                                mode=mode, K=20, repetitions=2, seed=11,
                                constraint="zero" if mode == "polar" else "linf-ball",
                                radius=1.0)
-        if traces_to_csv(execute(cfg).traces) != traces_to_csv(execute(cfg).traces):
+        traces = execute(cfg).traces
+        if traces_to_csv(traces) != traces_to_csv(execute(cfg).traces):
             differ.append(mode)
-    return not differ, f"CSV bytes differ in {differ}" if differ else "byte-identical"
+        run_cfg, problem, noise = build_run(cfg)
+        for i, trace in enumerate(traces):
+            single = run(replace(run_cfg, seed=cfg.seed + i), problem, noise)
+            if traces_to_csv([trace]) != traces_to_csv([single]) or not all(
+                    np.array_equal(a, b) for a, b in zip(trace.final_x, single.final_x)):
+                differ.append(f"{mode} row {i}")
+    return not differ, (f"bytes differ in {differ}" if differ
+                        else "byte-identical; every row equals its single run")
 
 
 def check_gap_nonnegativity(seed: int = 5) -> tuple[bool, str]:

@@ -131,42 +131,42 @@ def test_csv_byte_determinism():
 PINNED_TRACE_DIGESTS = {
     "deterministic": (
         dict(mode="deterministic", noise="none", gamma=0.1),
-        "22a9ffea161bf3552983fe349982e9874b2d716bfe83cd451bc810cbc06dfef5"),
+        "1ff33a9a1a69409823752a00bef370094749893072999b018d5dc46d7a006d3e"),
     "polyak-gaussian": (
         dict(),
-        "b41a7419ee95da99cb2306ba543156479d26d5d8375dfe14948527c635c9e79b"),
+        "2159460b48200baa48983ff0cc239d32e6ddb34667339cc746c2f8c1a6c37ca5"),
     "polyak-student-t": (
         dict(noise="student-t"),
-        "9024e04b5c2dab718f1193ba6c42e3eac7ee48571c71174c23e171fe4752c996"),
+        "8c63946f6cb7ed68c198c5c2df775e287bbdd401f6bfa1bb0d0590579d0db670"),
     "storm": (
         dict(mode="storm"),
-        "700861612d6a9fb1b1b6f7f36a8e33d12fc51724839850bb0522f97acd26905b"),
+        "597fea390e5bc06d0d56a62ba9d15496ad712d24cb91d84df34bc71d00b5b119"),
     "normalized-exact": (
         dict(mode="polar", constraint="zero"),
-        "c46f5e5d281960b2396431c794cb1460e067ee318b21804d0b70ef34f12a42f8"),
+        "beec0d899cdf9583f0bc1be7e6208adf1b9ba092aed5d8a4cbb123b39d18197a"),
     "normalized-newton-schulz": (
         dict(mode="polar", constraint="zero", poly_schedule="newton-schulz"),
-        "037e2300692e467900e7604aae4027394d46e8026832f55b3441984b403dad47"),
+        "5defdac8f002f688be0997b3593f95b38d0d6ca78868cef14d7d5bfae6cd1136"),
     "spectral-polyak": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="spectral-ball"),
-        "fbfb4283b55b5d93005696e24663917e5825a6068edc290de21af6e5ab5acfb9"),
+        "dc5c226a9c911c45e6bd9f7cfdeb05c7a08a30e1cf78224b0520cc48473d4bc0"),
     "spectral-iso-frobenius": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-iso",
              constraint="frobenius-ball"),
-        "3eb85303da97397206da2901fe0d96c5862e6bb5c07b6f3ec69eceb0e87453d8"),
+        "2df1be575f5df18be9f9cb45f1ff1807fe5c152cd16838092c24facf4eb2a5e8"),
     "spectral-aniso-stiefel": (
         dict(problem="matrix-quadratic", m=4, n=3, reference="barrier-spectral-aniso",
              constraint="stiefel"),
-        "c7171f6414e0d44e0db9d2f0f5b3885f7a1910c5193d507964ec12fc7a245c69"),
+        "cc8f22287a1394e25bb015c9e105a65da1c2521785a67950a2afa653a4a2df70"),
     "hyper-spectral-rank-storm": (
         dict(problem="matrix-quadratic", m=3, n=5, mode="storm",
              reference="hyper-spectral-aniso", kappa=3.0, constraint="rank-limit"),
-        "69b3d5bf2e80859a645f84877badee50f77a4c37ff53640973b7ed5aac796bf5"),
+        "f4a73a2713e86b7bb0a4e59af498414651ea08375d50765bbaae394fc4a65ab6"),
     "spectral-sphere-deterministic": (
         dict(problem="matrix-quadratic", m=4, n=3, mode="deterministic", noise="none",
              gamma=0.1, reference="barrier-spectral-aniso", constraint="spectral-sphere"),
-        "48d7d618b0a47654263e424f7292a90d65e5eddf7e502da4c555fb2104647e33"),
+        "302ba65f90540ffe9a4590215a0bf9a2e80a919d390938b190ad15a8d8ec3b67"),
 }
 
 
@@ -341,9 +341,20 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--quiet"]) == 3
 
 
-def test_parallel_workers_match_sequential():
-    cfg_seq = small_cfg(repetitions=4)
-    cfg_par = small_cfg(repetitions=4, workers=2)
-    a = traces_to_csv(execute(cfg_seq).traces)
-    b = traces_to_csv(execute(cfg_par).traces)
-    assert a == b
+ROW_CASES = {**{case: overrides for case, (overrides, _) in PINNED_TRACE_DIGESTS.items()},
+             "hyper-l2ball": dict(reference="hyper-aniso", epsilon=0.1, kappa=2.5,
+                                  constraint="l2-ball", radius=0.5)}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_batch_rows_match_single_runs(case):
+    # Repetition i of a 4-seed execute is byte for byte the single run of seed
+    # s+i on the same problem: its CSV rows and its final iterate.
+    cfg = small_cfg(**ROW_CASES[case], repetitions=4)
+    batch = execute(cfg)
+    run_cfg, problem, noise = harness.build_run(cfg)
+    for i, trace in enumerate(batch.traces):
+        single = sp.run(replace(run_cfg, seed=cfg.seed + i), problem, noise)
+        assert traces_to_csv([trace]) == traces_to_csv([single])
+        for a, b in zip(trace.final_x.blocks, single.final_x.blocks):
+            assert np.array_equal(a, b)

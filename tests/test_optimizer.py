@@ -195,20 +195,21 @@ def test_storm_run_two_calls_per_sample(rng):
 
 
 def test_storm_draws_each_token_once(rng, monkeypatch):
-    # The old-iterate sample of token k+1 reuses the noise drawn for the new one.
+    # One noise table per run, one row per token 0..K; the old-iterate sample of
+    # token k+1 reuses the row drawn for the new one.
     draws = []
     draw = sp.NoiseModel.draw
 
-    def counted(self, token_rng, shapes):
-        draws.append(shapes)
-        return draw(self, token_rng, shapes)
+    def counted(self, table_rng, shapes, tokens=None):
+        draws.append(tokens)
+        return draw(self, table_rng, shapes, tokens)
 
     monkeypatch.setattr(sp.NoiseModel, "draw", counted)
     prob = sp.make_quadratic(5, 2.0, rng=rng)
     cfg = sp.RunConfig(ref=ANISO, spec=UNCONSTRAINED, mode=sp.StochasticStorm(K=100),
                        seed=7, x0=sp.ParamVec([np.zeros(5)]))
     tr = sp.run(cfg, prob, noise=sp.NoiseModel.gaussian(0.5))
-    assert len(draws) == 101
+    assert draws == [101]
     assert tr.oracle_calls == 1 + 2 * 100
 
 
@@ -303,3 +304,67 @@ def test_spectral_iteration_factors_two_full_and_two_sigma_only(rng, monkeypatch
     assert long["full"] - short["full"] <= 2 * 8
     assert long["sigma"] - short["sigma"] <= 2 * 8
     assert long["full"] <= 2 * 12 and long["sigma"] <= 2 * 12 + 1  # + the check of x0
+
+
+def test_row_failure_names_iteration_seed_mode_and_block(monkeypatch):
+    # Row 1 of a 3-seed run leaves the constraint set at the first step; the
+    # error says which run failed, where, and in which block.
+    from specprox import harness, optimizer
+
+    backward_step = optimizer.backward_step
+
+    def push_row_1_out(spec, ref, y, gamma):
+        x_next, z = backward_step(spec, ref, y, gamma)
+        x_next[0][1] += 10.0
+        return x_next, z
+
+    monkeypatch.setattr(optimizer, "backward_step", push_row_1_out)
+    cfg = harness.ExperimentConfig(problem="quadratic", n=5, noise="gaussian", mode="polyak", K=4,
+                                   constraint="linf-ball", radius=1.0, seed=3, repetitions=3)
+    with pytest.raises(sp.NumericalError, match="constraint set") as exc:
+        harness.execute(cfg)
+    assert (exc.value.k, exc.value.seed, exc.value.block) == (0, 4, 0)
+    assert exc.value.mode == harness.build_mode(cfg)
+    assert "seed 4" in str(exc.value)
+
+
+def test_step_bound_failure_names_its_run(monkeypatch):
+    from specprox import optimizer
+
+    precondition = optimizer.precondition
+    monkeypatch.setattr(optimizer, "precondition", lambda ref, d: 100.0 * precondition(ref, d))
+    prob = sp.make_quadratic(4, 2.0, rng=np.random.default_rng(0))
+    mode = sp.StochasticPolyak(K=3)
+    cfg = sp.RunConfig(ref=ANISO, spec=UNCONSTRAINED, mode=mode, seed=20,
+                       x0=sp.ParamVec([np.zeros(4)]))
+    with pytest.raises(sp.NumericalError, match="step bound") as exc:
+        sp.run(cfg, prob, noise=sp.NoiseModel.gaussian(1.0))
+    assert (exc.value.k, exc.value.seed, exc.value.mode, exc.value.block) == (0, 20, mode, 0)
+
+
+def test_run_batch_rows_record_like_single_runs(rng):
+    # Regularized gaps and iterates come per row, as the single run records them.
+    prob = sp.make_quadratic(3, 2.0, rng=rng)
+    spec = sp.ConstraintSpec(sp.LinfBall(0.5))
+    cfg = sp.RunConfig(ref=ANISO, spec=spec, mode=sp.Deterministic(gamma=0.5, K=6), seed=4,
+                       x0=sp.ParamVec([np.zeros(3)]))
+    batch = sp.run_batch(cfg, prob, repetitions=3, record_reg_gap=True, record_iterates=True)
+    assert [t.seed for t in batch] == [4, 5, 6]
+    single = sp.run(cfg, prob, record_reg_gap=True, record_iterates=True)
+    for trace in batch:
+        assert trace.column("reg_gap") == single.column("reg_gap")
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(trace.iterates, single.iterates))
+
+
+def test_chunked_noise_table_gives_the_same_run(rng, monkeypatch):
+    # A table too large to hold at once is drawn chunk by chunk, with the same bytes.
+    from specprox import problems
+    from specprox.harness import traces_to_csv
+
+    prob = sp.make_quadratic(4, 2.0, rng=rng)
+    cfg = sp.RunConfig(ref=ANISO, spec=UNCONSTRAINED, mode=sp.StochasticStorm(K=40), seed=9,
+                       x0=sp.ParamVec([np.zeros(4)]))
+    noise = sp.NoiseModel.student_t(1.8, 1.0)
+    whole = traces_to_csv(sp.run_batch(cfg, prob, noise, repetitions=3))
+    monkeypatch.setattr(problems, "_TABLE_FLOATS", 4 * 3 * 7)  # 7 tokens per chunk
+    assert traces_to_csv(sp.run_batch(cfg, prob, noise, repetitions=3)) == whole

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import specprox as sp
+from specprox import harness
+from specprox.harness import ExperimentConfig
 from oracles import finite_diff_gradient
 
 
@@ -79,12 +81,10 @@ def test_noise_none_exact(rng):
 def test_same_token_same_noise_structure(rng):
     # one token = one perturbation: the drawn realization is bit-identical and
     # sample differences therefore match gradient differences to rounding
-    from specprox.problems import _token_rng
-
     noise = sp.NoiseModel.gaussian(1.0)
-    n1 = noise.draw(_token_rng(5, 7), [(4,)])
-    n2 = noise.draw(_token_rng(5, 7), [(4,)])
-    assert np.array_equal(n1[0], n2[0])
+    n1 = noise.draw(np.random.Generator(np.random.Philox(key=5)), [(4,)], tokens=8)
+    n2 = noise.draw(np.random.Generator(np.random.Philox(key=5)), [(4,)], tokens=8)
+    assert np.array_equal(n1[0][7], n2[0][7])
 
     prob = sp.make_quadratic(4, 2.0, rng=rng)
     x1 = sp.ParamVec([rng.standard_normal(4)])
@@ -95,6 +95,49 @@ def test_same_token_same_noise_structure(rng):
     lhs = g1 - g2
     rhs = prob.grad_f(x1) - prob.grad_f(x2)
     assert sp.norm2(lhs - rhs) <= 1e-14
+
+
+def test_noise_table_is_prefix_stable_and_chunkable():
+    # Token k's noise is row k of the seed's Philox table, whatever the table's
+    # length, and a table drawn in two chunks equals one drawn at once.
+    for noise in (sp.NoiseModel.gaussian(1.0), sp.NoiseModel.student_t(1.8, 1.0)):
+        def table(*chunks):
+            rng = np.random.Generator(np.random.Philox(key=9))
+            return np.concatenate([noise.draw(rng, [(3,), (2, 2)], tokens=t)[1] for t in chunks])
+        long = table(4097)
+        assert np.array_equal(table(100), long[:100])
+        assert np.array_equal(table(37, 63), long[:100])
+        scale = noise.scale_for(7)
+        want = scale * (np.random.Generator(np.random.Philox(key=9)).standard_normal((5, 7))
+                        if noise.kind == "gaussian" else
+                        np.random.Generator(np.random.Philox(key=9)).standard_t(1.8, (5, 7)))
+        assert np.array_equal(table(5).reshape(5, 4), want[:, 3:])
+
+
+def test_batch_oracle_rows_match_single_seed_oracles(rng):
+    prob = sp.make_quadratic(4, 2.0, rng=rng)
+    noise = sp.NoiseModel.student_t(1.8, 1.0)
+    x = sp.ParamVec([rng.standard_normal((3, 4))], lead=1)
+    batch = sp.GradientOracle(prob, noise, (11, 12, 13), tokens=5)
+    for token in (0, 4, 9, 2):  # 9 draws the next chunk, 2 the first one again
+        g = batch.sample(x, token)
+        for i in range(3):
+            single = sp.GradientOracle(prob, noise, 11 + i).sample(x.row(i), token)
+            assert np.array_equal(g[0][i], single[0])
+
+
+def test_token_999_is_not_the_problem_stream():
+    # The problem instance of seed s is drawn from SeedSequence(s, spawn_key=(999,));
+    # token 999's noise of seed s must be independent of it.  With sigma = sqrt(n)
+    # the noise scale is exactly 1, so the noise is the raw normal draw.
+    n, s = 8, 5
+    cfg = ExperimentConfig(problem="quadratic", n=n, noise="gaussian", sigma=math.sqrt(n), seed=s)
+    problem = harness.build_problem(cfg)
+    oracle = sp.GradientOracle(problem, harness.build_noise(cfg), s)
+    noise_999 = oracle.perturb(sp.zeros(problem.shapes), 999)[0]
+    stream = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(999,)))
+    first_row = stream.standard_normal((n, n))[0]
+    assert not np.array_equal(noise_999, first_row)
 
 
 def test_different_tokens_different_noise(rng):

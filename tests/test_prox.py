@@ -3,6 +3,7 @@ import pytest
 
 import specprox as sp
 from specprox import oracle
+from specprox.prox import backward_step
 
 ANISO = sp.BlockRef(sp.Structure.ANISO, sp.Barrier(1.0))
 ISO = sp.BlockRef(sp.Structure.ISO, sp.Barrier(1.0))
@@ -440,3 +441,35 @@ def test_gamma_validation():
         sp.prox_vector(sp.LinfBall(1.0), ANISO, np.zeros(2), 0.0)
     with pytest.raises(sp.InvalidInputError):
         sp.prox_vector(sp.LinfBall(1.0), ANISO, np.array([np.inf, 0.0]), 1.0)
+
+
+STACK_CASES = [(tag, structure, shape)
+               for tag in (sp.Zero(), sp.SignSet(0.7), sp.L2Ball(0.8), sp.LinfBall(0.6),
+                           sp.LinfSphere(0.9), sp.HardThreshold(2))
+               for structure in (sp.Structure.ANISO, sp.Structure.ISO) for shape in [(5,)]] + [
+               (tag, structure, shape)
+               for tag in (sp.Zero(), sp.Stiefel(0.7), sp.FrobeniusBall(0.8), sp.SpectralBall(0.6),
+                           sp.SpectralSphere(0.9), sp.RankLimit(2))
+               for structure in (sp.Structure.SPECTRAL_ANISO, sp.Structure.SPECTRAL_ISO)
+               for shape in [(4, 3)]]
+
+
+@pytest.mark.parametrize("tag, structure, shape", STACK_CASES,
+                         ids=[f"{type(t).__name__}-{s.value}" for t, s, _ in STACK_CASES])
+def test_stacked_step_rows_match_single_steps(tag, structure, shape, rng):
+    # A batch of 6 points, some inside the set and some outside: every row of
+    # the stacked step, move and violation has the bits of its own call.
+    spec = sp.ConstraintSpec(tag)
+    ref = sp.ReferenceFn.uniform(structure, sp.HyperKappa(0.3, 2.5))
+    Y = rng.standard_normal((6,) + shape) * np.array([0.05, 0.1, 0.2, 0.3, 0.45, 0.6])[
+        (slice(None),) + (None,) * len(shape)]
+    x_next, z = backward_step(spec, ref, sp.ParamVec([Y], lead=1), 2.0)
+    err = sp.feasibility_error(spec, x_next)
+    for i in range(6):
+        x1, z1 = backward_step(spec, ref, sp.ParamVec([Y[i]]), 2.0)
+        assert np.array_equal(x_next[0][i], x1[0])
+        if isinstance(z1[0], sp.SvdResult):
+            assert np.array_equal(z[0].reconstruct()[i], z1[0].reconstruct())
+        else:
+            assert np.array_equal(z[0][i], z1[0])
+        assert (err[i] if np.ndim(err) else err) == sp.feasibility_error(spec, x1)
